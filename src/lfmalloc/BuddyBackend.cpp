@@ -10,7 +10,8 @@
 //  - It must contribute zero telemetry symbols under LFM_TELEMETRY=0 (CI
 //    nm check): all instrumentation goes through the ContentionHook.h /
 //    SchedPoint.h macro gates, and the backend's own statistics are plain
-//    relaxed atomics folded into telemetry counters at snapshot time.
+//    relaxed atomics (per-thread meter shards) folded into telemetry
+//    counters at snapshot time.
 //
 //  - Span status trees and residency bitmaps live in zero-filled mmap
 //    memory and are accessed through std::atomic without placement-new:
@@ -110,7 +111,7 @@ BuddyBackend::Span *BuddyBackend::spanAt(unsigned Slot) {
     Pages.unmap(Meta, MetaBytes);
     return Expected;
   }
-  StSpanReserves.fetch_add(1, std::memory_order_relaxed);
+  bump(&MeterShard::SpanReserves);
   LFM_PROBE2(buddy_span_reserve, Base, Bytes);
   return Fresh;
 }
@@ -148,14 +149,14 @@ bool BuddyBackend::upMark(Span &S, unsigned Level, std::uint32_t Idx,
         node(S, B, J).fetch_sub(1, std::memory_order_release);
       }
       node(S, Level, Idx).fetch_sub(BusyBit | 1, std::memory_order_release);
-      StRollbacks.fetch_add(1, std::memory_order_relaxed);
+      bump(&MeterShard::Rollbacks);
       return false;
     }
     if ((Old & CountMask) == 0)
       ++NewSplits; // This free whole is now carved into: a split.
   }
   if (Account && NewSplits != 0)
-    StSplits.fetch_add(NewSplits, std::memory_order_relaxed);
+    bump(&MeterShard::Splits, NewSplits);
   return true;
 }
 
@@ -173,7 +174,23 @@ void BuddyBackend::downMark(Span &S, unsigned Level, std::uint32_t Idx,
       ++NewCoalesces; // Subtree drained: this block is whole again.
   }
   if (Account && NewCoalesces != 0)
-    StCoalesces.fetch_add(NewCoalesces, std::memory_order_relaxed);
+    bump(&MeterShard::Coalesces, NewCoalesces);
+}
+
+std::uint32_t BuddyBackend::busyAncestorEnd(const Span &S, unsigned Level,
+                                            std::uint32_t Idx) {
+  std::uint32_t J = Idx;
+  for (unsigned A = Level; A > 0;) {
+    --A;
+    J >>= 1;
+    const std::uint32_t V = node(S, A, J).load(std::memory_order_relaxed);
+    if (V == 0)
+      continue;
+    if ((V & BusyBit) != 0)
+      return (J + 1) << (Level - A); // First index past the busy range.
+    return 0; // Carved: nothing above it is a unit allocation.
+  }
+  return 0;
 }
 
 std::int64_t BuddyBackend::allocFromSpan(Span &S, unsigned Level) {
@@ -182,9 +199,8 @@ std::int64_t BuddyBackend::allocFromSpan(Span &S, unsigned Level) {
       blockBytes(Level))
     return -1;
   const std::uint32_t N = S.TopCount << Level;
-  std::uint32_t Start = S.Hint[Level].load(std::memory_order_relaxed);
-  if (Start >= N)
-    Start = 0;
+  const std::uint32_t Hint = S.Hint[Level].load(std::memory_order_relaxed);
+  const std::uint32_t Start = Hint < N ? Hint : 0;
   LFM_CONT_LOOP(BuddyAlloc);
   for (std::uint32_t Step = 0; Step < N; ++Step) {
     std::uint32_t I = Start + Step;
@@ -193,6 +209,14 @@ std::int64_t BuddyBackend::allocFromSpan(Span &S, unsigned Level) {
     std::atomic<std::uint32_t> &Node = node(S, Level, I);
     if (Node.load(std::memory_order_relaxed) != 0)
       continue;
+    // Ancestor pre-check: a zero word under a unit allocation is not
+    // free. Skip the whole range instead of claiming and rolling back.
+    // Ranges are aligned and N is a multiple of their width, so the jump
+    // never crosses the wrap point.
+    if (const std::uint32_t End = busyAncestorEnd(S, Level, I)) {
+      Step += End - I - 1;
+      continue;
+    }
     LFM_CONT_ATTEMPT(BuddyAlloc);
     LFM_SCHED_POINT(BuddyAlloc);
     std::uint32_t Expected = 0;
@@ -203,7 +227,8 @@ std::int64_t BuddyBackend::allocFromSpan(Span &S, unsigned Level) {
       continue; // Lost the word to a peer; keep scanning.
     if (!upMark(S, Level, I, /*Account=*/true))
       continue; // Rolled back: an enclosing block won. Keep scanning.
-    S.Hint[Level].store(I + 1 < N ? I + 1 : 0, std::memory_order_relaxed);
+    if (I != Hint)
+      S.Hint[Level].store(I, std::memory_order_relaxed);
     LFM_CONT_DONE(BuddyAlloc);
     return static_cast<std::int64_t>(I);
   }
@@ -225,17 +250,21 @@ std::size_t BuddyBackend::commitRange(Span &S, std::size_t Off,
     std::uint64_t Mask = ~std::uint64_t{0} << Lo;
     if (Hi < 64)
       Mask &= (std::uint64_t{1} << Hi) - 1;
-    const std::uint64_t Old =
-        S.Resident[Word].fetch_or(Mask, std::memory_order_relaxed);
-    NewBits +=
-        static_cast<std::uint64_t>(__builtin_popcountll(Mask & ~Old));
+    // Read first: once a block's pages are resident (the steady state)
+    // committing it again writes nothing.
+    if ((S.Resident[Word].load(std::memory_order_relaxed) & Mask) != Mask) {
+      const std::uint64_t Old =
+          S.Resident[Word].fetch_or(Mask, std::memory_order_relaxed);
+      NewBits +=
+          static_cast<std::uint64_t>(__builtin_popcountll(Mask & ~Old));
+    }
     Bit = WordEnd;
   }
   const std::size_t NewBytes = static_cast<std::size_t>(NewBits)
                                << MinOrderShift;
   if (NewBytes != 0) {
     S.Committed.fetch_add(NewBytes, std::memory_order_relaxed);
-    TotalCommitted.fetch_add(NewBytes, std::memory_order_relaxed);
+    bump(&MeterShard::Committed, NewBytes);
     Pages.recordCommit(NewBytes);
   }
   return NewBytes;
@@ -269,9 +298,9 @@ std::size_t BuddyBackend::decommitRange(Span &S, std::size_t Off,
   // concurrently; untouched pages inside the range make madvise a no-op.
   Pages.decommit(S.Base + Off, Len);
   S.Committed.fetch_sub(ClearedBytes, std::memory_order_relaxed);
-  TotalCommitted.fetch_sub(ClearedBytes, std::memory_order_relaxed);
+  drop(&MeterShard::Committed, ClearedBytes);
   Pages.recordUncommit(ClearedBytes);
-  StDecommits.fetch_add(1, std::memory_order_relaxed);
+  bump(&MeterShard::Decommits);
   return ClearedBytes;
 }
 
@@ -293,9 +322,9 @@ bool BuddyBackend::allocate(std::size_t Total, std::size_t Align,
       const std::size_t Len = blockBytes(Level);
       const std::size_t Off = static_cast<std::size_t>(Idx) * Len;
       S->Allocated.fetch_add(Len, std::memory_order_relaxed);
-      TotalAllocated.fetch_add(Len, std::memory_order_relaxed);
+      bump(&MeterShard::Allocated, Len);
       commitRange(*S, Off, Len);
-      StAllocs.fetch_add(1, std::memory_order_relaxed);
+      bump(&MeterShard::Allocs);
       Out.Block = S->Base + Off;
       Out.Total = Len;
       Out.OsMapped = false;
@@ -308,7 +337,7 @@ bool BuddyBackend::allocate(std::size_t Total, std::size_t Align,
   void *Block = Pages.map(Rounded, Align);
   if (Block == nullptr)
     return false;
-  StOsFallbacks.fetch_add(1, std::memory_order_relaxed);
+  bump(&MeterShard::OsFallbacks);
   Out.Block = Block;
   Out.Total = Rounded;
   Out.OsMapped = true;
@@ -328,18 +357,24 @@ bool BuddyBackend::deallocate(void *Block, std::size_t Total) {
   const std::size_t Off =
       static_cast<std::size_t>(static_cast<char *>(Block) - S->Base);
   const std::uint32_t Idx = static_cast<std::uint32_t>(Off / Total);
-  StFrees.fetch_add(1, std::memory_order_relaxed);
+  bump(&MeterShard::Frees);
   // Watermark decommit happens while the claim still stands: exclusivity
   // makes the madvise race-free, and the block re-enters circulation cold.
-  const std::uint64_t C = TotalCommitted.load(std::memory_order_relaxed);
-  const std::uint64_t A = TotalAllocated.load(std::memory_order_relaxed);
-  const std::uint64_t FreeAfter = C > A - Total ? C - (A - Total) : 0;
-  if (FreeAfter > RetainMax.load(std::memory_order_relaxed))
-    decommitRange(*S, Off, Total);
+  // Only a bounded watermark needs the shard sums.
+  const std::size_t Retain = RetainMax.load(std::memory_order_relaxed);
+  if (Retain != ~std::size_t{0}) {
+    const std::uint64_t C = sum(&MeterShard::Committed);
+    const std::uint64_t A = sum(&MeterShard::Allocated);
+    const std::uint64_t FreeAfter = C > A - Total ? C - (A - Total) : 0;
+    if (FreeAfter > Retain)
+      decommitRange(*S, Off, Total);
+  }
   S->Allocated.fetch_sub(Total, std::memory_order_relaxed);
-  TotalAllocated.fetch_sub(Total, std::memory_order_relaxed);
+  drop(&MeterShard::Allocated, Total);
   downMark(*S, Level, Idx, /*Account=*/true);
-  S->Hint[Level].store(Idx, std::memory_order_relaxed);
+  // Lower the hint to the freed block so scans pack toward low addresses.
+  if (Idx < S->Hint[Level].load(std::memory_order_relaxed))
+    S->Hint[Level].store(Idx, std::memory_order_relaxed);
   return false;
 }
 
@@ -467,17 +502,17 @@ void BuddyBackend::snapshot(LargeBackendSnapshot &Out) const {
   Out.MinOrderBytes = MinOrderBytes;
   Out.MaxOrderBytes = MaxOrderBytes;
   Out.SpanBytes = SpanBytes;
-  Out.BytesCommitted = TotalCommitted.load(std::memory_order_relaxed);
-  Out.BytesAllocated = TotalAllocated.load(std::memory_order_relaxed);
+  Out.BytesCommitted = sum(&MeterShard::Committed);
+  Out.BytesAllocated = sum(&MeterShard::Allocated);
   Out.FreeCommittedBytes = freeCommittedBytes();
-  Out.Allocs = StAllocs.load(std::memory_order_relaxed);
-  Out.Frees = StFrees.load(std::memory_order_relaxed);
-  Out.Splits = StSplits.load(std::memory_order_relaxed);
-  Out.Coalesces = StCoalesces.load(std::memory_order_relaxed);
-  Out.OsFallbacks = StOsFallbacks.load(std::memory_order_relaxed);
-  Out.Rollbacks = StRollbacks.load(std::memory_order_relaxed);
-  Out.Decommits = StDecommits.load(std::memory_order_relaxed);
-  Out.SpanReserves = StSpanReserves.load(std::memory_order_relaxed);
+  Out.Allocs = sum(&MeterShard::Allocs);
+  Out.Frees = sum(&MeterShard::Frees);
+  Out.Splits = sum(&MeterShard::Splits);
+  Out.Coalesces = sum(&MeterShard::Coalesces);
+  Out.OsFallbacks = sum(&MeterShard::OsFallbacks);
+  Out.Rollbacks = sum(&MeterShard::Rollbacks);
+  Out.Decommits = sum(&MeterShard::Decommits);
+  Out.SpanReserves = sum(&MeterShard::SpanReserves);
   for (const std::atomic<Span *> &SlotRef : Spans) {
     const Span *S = SlotRef.load(std::memory_order_acquire);
     if (S == nullptr)
@@ -543,11 +578,11 @@ bool BuddyBackend::debugValidate(const char **What) const {
     }
     Committed += SpanResident;
   }
-  if (Allocated != TotalAllocated.load(std::memory_order_relaxed)) {
+  if (Allocated != sum(&MeterShard::Allocated)) {
     *What = "backend allocated meter disagrees with spans";
     return false;
   }
-  if (Committed != TotalCommitted.load(std::memory_order_relaxed)) {
+  if (Committed != sum(&MeterShard::Committed)) {
     *What = "backend committed meter disagrees with spans";
     return false;
   }

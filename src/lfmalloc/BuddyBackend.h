@@ -29,23 +29,31 @@
 ///     bits 30..0    count — number of BUSY nodes in this subtree
 ///                           (including the node itself)
 ///
-/// A block is allocatable if and only if its word is exactly 0: no unit
-/// allocation here, none below (count covers descendants), and no live
-/// allocation above (an ancestor's claim would have been rejected — see
-/// the protocol). This replaces NBBS's per-node occupancy bits with a
-/// counter, which is what makes rollback lossless under concurrency:
-/// increments and decrements commute, so a retreating claimer can always
-/// subtract exactly what it added without clobbering concurrent claims.
+/// A block is allocatable if and only if its word is 0 *and* no ancestor
+/// is BUSY. The word alone is not enough: the descendants of a unit
+/// allocation stay 0 (a claim marks only its own node and its ancestors),
+/// so it is the up-mark — or the scan's ancestor pre-check — that rejects
+/// them. This replaces NBBS's per-node occupancy bits with a counter,
+/// which is what makes rollback lossless under concurrency: increments
+/// and decrements commute, so a retreating claimer can always subtract
+/// exactly what it added without clobbering concurrent claims.
 ///
 /// ## Protocol
 ///
-/// Allocate(order): scan the target level from a per-level rotating hint
-/// for a word equal to 0 and claim it with CAS(0 -> BUSY|1); then walk the
-/// ancestors to the root doing fetch_add(+1). If any fetch_add returns a
-/// value with BUSY set, an enclosing block was concurrently allocated as a
-/// unit: subtract the increments made so far, release the claim with
-/// fetch_sub(BUSY|1), count a rollback, and continue scanning. The claim
-/// is complete — and only then is the memory handed out — once every
+/// Allocate(order): scan the target level from a per-level hint for a
+/// word equal to 0. Before claiming it, walk its ancestors with relaxed
+/// loads up to the first nonzero one: a BUSY ancestor means the whole
+/// range under it is taken, so the scan jumps past that range; a carved
+/// (nonzero, non-BUSY) ancestor ends the walk, since nothing above a
+/// carved block can be a unit allocation. Then claim with CAS(0 ->
+/// BUSY|1) and walk the ancestors to the root doing fetch_add(+1). If any
+/// fetch_add returns a value with BUSY set, an enclosing block was
+/// allocated as a unit between the pre-check and the claim: subtract the
+/// increments made so far, release the claim with fetch_sub(BUSY|1),
+/// count a rollback, and continue scanning. The pre-check is only a
+/// filter — the CAS and up-mark stay the correctness mechanism — so a
+/// rollback always means a lost race, never a stale scan. The claim is
+/// complete — and only then is the memory handed out — once every
 /// ancestor has been marked, at which point no enclosing CAS can succeed
 /// (every ancestor word is nonzero) and no descendant CAS can succeed
 /// (the claimed word is nonzero). Ancestors whose returned count was 0
@@ -56,6 +64,12 @@
 /// coalescing is implicit: a block at any level is reusable the instant
 /// its count drains to 0, with no sibling hand-shake. Ancestors whose
 /// count reaches 0 are the coalesces.
+///
+/// Hint: each level's scan starts at its hint, which is written only when
+/// it moves. An allocation leaves it at the index it claimed; a free
+/// lowers it to the index it freed. Scans therefore restart near the
+/// lowest recently freed block, packing live blocks toward the low end of
+/// the span and keeping the touched (resident) part of it small.
 ///
 /// Progress: allocation is lock-free (a claim CAS or an up-mark conflict
 /// fails only because another allocation succeeded), freeing is wait-free,
@@ -75,7 +89,20 @@
 /// tier), the block is decommitted (MADV_DONTNEED) while the claim still
 /// stands — exclusivity makes the madvise race-free. trim(keep) walks the
 /// trees claiming maximal free blocks through the same CAS protocol and
-/// decommits them down to the watermark.
+/// decommits them down to the watermark. Residency words are read before
+/// they are written: a block whose pages are all resident already (the
+/// steady state) commits without a single RMW on the bitmap.
+///
+/// ## Meters
+///
+/// The backend byte meters and operation counters are sharded: each
+/// thread adds into the cache-line-padded shard picked by its
+/// threadIndex(). Readers (snapshot, trim, debugValidate) sum the shards;
+/// the sums are exact at quiescence. Free sums them only for the
+/// watermark check, and skips even that while the watermark is unbounded
+/// (the default). Besides its tree path and its block, the one shared
+/// word a claim or free writes is its span's Allocated meter, which the
+/// full-span reject reads; it has a cache line of its own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,6 +110,7 @@
 #define LFMALLOC_LFMALLOC_BUDDYBACKEND_H
 
 #include "lfmalloc/LargeBackend.h"
+#include "support/ThreadRegistry.h"
 
 #include <atomic>
 #include <cstddef>
@@ -101,6 +129,8 @@ public:
   static constexpr std::size_t MaxOrderBytes = std::size_t{1} << MaxOrderShift;
   /// Span directory capacity. Published by CAS; never shrinks.
   static constexpr unsigned MaxSpans = 16;
+  /// Meter shards (power of two); threads share one only beyond this many.
+  static constexpr unsigned MeterShards = 16;
 
   explicit BuddyBackend(PageAllocator &Pages) : Pages(Pages) {}
   ~BuddyBackend() override;
@@ -143,7 +173,10 @@ private:
   static constexpr std::uint32_t CountMask = 0x7fffffffu;
 
   /// One reserved span plus its metadata, all living in a single page
-  /// mapping laid out [Span | status trees | residency bitmap].
+  /// mapping laid out [Span | status trees | residency bitmap]. The
+  /// geometry every operation reads, the span meters every claim and free
+  /// update, and the hints each sit on their own cache line, so meter and
+  /// hint writes never evict the geometry from other cores.
   struct Span {
     char *Base;               ///< Reserved range, MaxOrderBytes-aligned.
     std::size_t Bytes;        ///< Reserved size.
@@ -151,10 +184,33 @@ private:
     std::size_t MetaBytes;    ///< Size of this metadata mapping.
     std::atomic<std::uint32_t> *Tree;     ///< Level-major status nodes.
     std::atomic<std::uint64_t> *Resident; ///< One bit per min-order leaf.
-    std::atomic<std::uint64_t> Committed; ///< Resident bytes in this span.
-    std::atomic<std::uint64_t> Allocated; ///< Live-block bytes in this span.
-    std::atomic<std::uint32_t> Hint[NumOrders]; ///< Per-level scan start.
+    /// Resident bytes in this span.
+    alignas(CacheLineSize) std::atomic<std::uint64_t> Committed;
+    /// Live-block bytes in this span: the full-span reject reads it.
+    std::atomic<std::uint64_t> Allocated;
+    /// Per-level scan start.
+    alignas(CacheLineSize) std::atomic<std::uint32_t> Hint[NumOrders];
   };
+
+  /// One shard of the backend meters and operation counters. Plain
+  /// relaxed atomics, maintained in every build configuration; the
+  /// telemetry layer folds their sums into Counter::Buddy* at snapshot
+  /// time so this translation unit stays free of telemetry symbols (the CI
+  /// nm check). A shard holds wrapping deltas — a page committed on one
+  /// thread may be decommitted on another — so only the sum is meaningful.
+  struct alignas(CacheLineSize) MeterShard {
+    std::atomic<std::uint64_t> Committed{0}; ///< Resident bytes.
+    std::atomic<std::uint64_t> Allocated{0}; ///< Live-block bytes.
+    std::atomic<std::uint64_t> Allocs{0};
+    std::atomic<std::uint64_t> Frees{0};
+    std::atomic<std::uint64_t> Splits{0};
+    std::atomic<std::uint64_t> Coalesces{0};
+    std::atomic<std::uint64_t> OsFallbacks{0};
+    std::atomic<std::uint64_t> Rollbacks{0};
+    std::atomic<std::uint64_t> Decommits{0};
+    std::atomic<std::uint64_t> SpanReserves{0};
+  };
+  using Meter = std::atomic<std::uint64_t> MeterShard::*;
 
   static unsigned orderForTotal(std::size_t Total);
   static constexpr std::size_t blockBytes(unsigned Level) {
@@ -168,9 +224,29 @@ private:
                                           std::uint32_t Idx) {
     return S.Tree[levelOffset(S.TopCount, Level) + Idx];
   }
+  static std::uint32_t busyAncestorEnd(const Span &S, unsigned Level,
+                                       std::uint32_t Idx);
 
   Span *spanOf(const void *P) const;
   Span *spanAt(unsigned Slot);
+
+  /// Adds \p Delta to this thread's shard of \p M.
+  void bump(Meter M, std::uint64_t Delta = 1) {
+    (Meters[threadIndex() & (MeterShards - 1)].*M)
+        .fetch_add(Delta, std::memory_order_relaxed);
+  }
+  /// Subtracts \p Delta from this thread's shard of \p M (shards wrap).
+  void drop(Meter M, std::uint64_t Delta) {
+    (Meters[threadIndex() & (MeterShards - 1)].*M)
+        .fetch_sub(Delta, std::memory_order_relaxed);
+  }
+  /// \returns the sum of \p M over every shard (exact at quiescence).
+  std::uint64_t sum(Meter M) const {
+    std::uint64_t Total = 0;
+    for (const MeterShard &Shard : Meters)
+      Total += (Shard.*M).load(std::memory_order_relaxed);
+    return Total;
+  }
 
   bool upMark(Span &S, unsigned Level, std::uint32_t Idx, bool Account);
   void downMark(Span &S, unsigned Level, std::uint32_t Idx, bool Account);
@@ -182,8 +258,8 @@ private:
   void walkFree(const Span &S, unsigned Level, std::uint32_t Idx,
                 LargeBackendSnapshot &Out) const;
   std::uint64_t freeCommittedBytes() const {
-    const std::uint64_t C = TotalCommitted.load(std::memory_order_relaxed);
-    const std::uint64_t A = TotalAllocated.load(std::memory_order_relaxed);
+    const std::uint64_t C = sum(&MeterShard::Committed);
+    const std::uint64_t A = sum(&MeterShard::Allocated);
     return C > A ? C - A : 0;
   }
 
@@ -191,21 +267,7 @@ private:
   std::size_t SpanBytes = std::size_t{1} << 30;
   std::atomic<std::size_t> RetainMax{~std::size_t{0}};
   std::atomic<Span *> Spans[MaxSpans] = {};
-
-  /// Backend-global meters and operation counters. Plain relaxed atomics,
-  /// maintained in every build configuration; the telemetry layer folds
-  /// them into Counter::Buddy* at snapshot time so this translation unit
-  /// stays free of telemetry symbols (the CI nm check).
-  std::atomic<std::uint64_t> TotalCommitted{0};
-  std::atomic<std::uint64_t> TotalAllocated{0};
-  std::atomic<std::uint64_t> StAllocs{0};
-  std::atomic<std::uint64_t> StFrees{0};
-  std::atomic<std::uint64_t> StSplits{0};
-  std::atomic<std::uint64_t> StCoalesces{0};
-  std::atomic<std::uint64_t> StOsFallbacks{0};
-  std::atomic<std::uint64_t> StRollbacks{0};
-  std::atomic<std::uint64_t> StDecommits{0};
-  std::atomic<std::uint64_t> StSpanReserves{0};
+  MeterShard Meters[MeterShards];
 };
 
 } // namespace lfm

@@ -54,7 +54,7 @@ struct LargeBackendSnapshot {
   std::uint64_t Splits = 0;      ///< Free blocks first carved by an alloc.
   std::uint64_t Coalesces = 0;   ///< Blocks whose subtree drained fully free.
   std::uint64_t OsFallbacks = 0; ///< Requests served by a direct OS map.
-  std::uint64_t Rollbacks = 0;   ///< Claims undone after an ancestor conflict.
+  std::uint64_t Rollbacks = 0;   ///< Claims undone after a lost race.
   std::uint64_t Decommits = 0;   ///< Free blocks returned to the OS (madvise).
   std::uint64_t SpanReserves = 0; ///< reserve() calls ever made.
   /// Committed-or-not free bytes per order (index 0 = min order). Walked

@@ -214,17 +214,26 @@ HazardDomain::Record *HazardDomain::myRecord() {
     }
   }
 
-  // Mint a fresh record.
-  const unsigned Mine =
-      RecordWatermarkCount.fetch_add(1, std::memory_order_acq_rel);
-  if (Mine >= MaxRecords) {
-    std::fprintf(stderr, "lfmalloc: more than %u threads in hazard domain\n",
-                 MaxRecords);
-    std::abort();
+  // Mint a fresh record. The bump publishes the slot to adopters before
+  // this thread owns it, so the claim must be the same CAS the adopt path
+  // uses: an adopter that wins the window keeps the record and this thread
+  // mints the next one.
+  for (;;) {
+    const unsigned Mine =
+        RecordWatermarkCount.fetch_add(1, std::memory_order_acq_rel);
+    if (Mine >= MaxRecords) {
+      std::fprintf(stderr, "lfmalloc: more than %u threads in hazard domain\n",
+                   MaxRecords);
+      std::abort();
+    }
+    LFM_SCHED_POINT(HazardClaim);
+    bool Expected = false;
+    if (Records[Mine].Active.compare_exchange_strong(
+            Expected, true, std::memory_order_acq_rel)) {
+      TlsHazardCache.insert(this, DomainId, &Records[Mine]);
+      return &Records[Mine];
+    }
   }
-  Records[Mine].Active.store(true, std::memory_order_release);
-  TlsHazardCache.insert(this, DomainId, &Records[Mine]);
-  return &Records[Mine];
 }
 
 void HazardDomain::publishHazard(unsigned Slot, void *Ptr) {

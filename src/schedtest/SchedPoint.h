@@ -64,6 +64,7 @@ enum class Site : unsigned {
   MsqEnqueue,    ///< MSQueue::enqueue link CAS.
   MsqDequeue,    ///< MSQueue::dequeue head CAS.
   HazardProtect, ///< HazardDomain::protect load-to-publish window.
+  HazardClaim,   ///< HazardDomain record mint: watermark bump to claim CAS.
   // SuperblockCache.
   SbAcquire, ///< SuperblockCache::acquire pop/mint window.
   SbRelease, ///< SuperblockCache::release push window.

@@ -55,6 +55,8 @@ const char *siteName(Site S) {
     return "MsqDequeue";
   case Site::HazardProtect:
     return "HazardProtect";
+  case Site::HazardClaim:
+    return "HazardClaim";
   case Site::SbAcquire:
     return "SbAcquire";
   case Site::SbRelease:

@@ -6,9 +6,10 @@
 // split/coalesce accounting of the counting-tree protocol, steady-state
 // freedom from OS map traffic, alignment, the >max-order and exhaustion
 // OS fallbacks, ENOMEM propagation under fault injection, watermark
-// decommit + trim, deterministic seeded double-runs, and the quiescent
-// structural validator — plus the os backend's byte-identical behavior
-// as the reference. Seeded randomness derives from LFM_TEST_SEED
+// decommit + trim, deterministic seeded double-runs, placement around a
+// busy block without rollbacks, exact sharded meters under more threads
+// than shards, and the quiescent structural validator — plus the os
+// backend's byte-identical behavior as the reference. Seeded randomness derives from LFM_TEST_SEED
 // (tests/TestSeed.h).
 //
 //===----------------------------------------------------------------------===//
@@ -21,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
 #include <cerrno>
 #include <cstring>
 #include <random>
@@ -360,6 +363,93 @@ TEST_F(BuddyBackendTest, ConcurrentChurnKeepsInvariants) {
   const LargeBackendSnapshot S = snap(A);
   EXPECT_EQ(S.Allocs - S.OsFallbacks, S.Frees - 0u);
   EXPECT_EQ(S.BytesAllocated, 0u);
+  expectValid(A);
+  expectCensusComplete(S);
+}
+
+TEST_F(BuddyBackendTest, PlacementSkipsBusyBlockWithoutRollback) {
+  // Drive the backend directly so every order, the 8 KiB one included, is
+  // reachable. Four roots; every level's hint starts at index 0.
+  PageAllocator Pages;
+  BuddyBackend B(Pages);
+  B.configure(4 * MaxOrder, ~std::size_t{0});
+  LargeBackend::Allocation Whole;
+  ASSERT_TRUE(B.allocate(MaxOrder, OsPageSize, Whole));
+  ASSERT_FALSE(Whole.OsMapped);
+  // A fresh span hands out root 0, so the busy block sits exactly where
+  // every finer level's hint points: its zero descendants are the first
+  // words each scan reads.
+  const char *Base = static_cast<const char *>(Whole.Block);
+
+  std::vector<LargeBackend::Allocation> Smaller;
+  for (std::size_t Bytes = MaxOrder / 2; Bytes >= MinOrder; Bytes /= 2) {
+    LargeBackend::Allocation A;
+    ASSERT_TRUE(B.allocate(Bytes, OsPageSize, A)) << Bytes;
+    ASSERT_FALSE(A.OsMapped) << Bytes;
+    EXPECT_EQ(A.Total, Bytes);
+    // Outside the busy block, and packed into the next root (the orders
+    // below the max sum to less than one root).
+    const char *P = static_cast<const char *>(A.Block);
+    EXPECT_GE(P, Base + MaxOrder) << Bytes;
+    EXPECT_LE(P + Bytes, Base + 2 * MaxOrder) << Bytes;
+    Smaller.push_back(A);
+  }
+  LargeBackendSnapshot S;
+  B.snapshot(S);
+  // largebackend.rollbacks: the ancestor pre-check skips the busy range
+  // instead of claiming a word under it and undoing the claim.
+  EXPECT_EQ(S.Rollbacks, 0u);
+  EXPECT_EQ(S.Allocs, Smaller.size() + 1);
+
+  for (const LargeBackend::Allocation &A : Smaller)
+    B.deallocate(A.Block, A.Total);
+  B.deallocate(Whole.Block, Whole.Total);
+  const char *What = nullptr;
+  EXPECT_TRUE(B.debugValidate(&What)) << (What ? What : "?");
+}
+
+TEST_F(BuddyBackendTest, ShardedMetersExactWithMoreThreadsThanShards) {
+  // More threads than meter shards, so some threads share a shard; every
+  // block is freed by a different thread than the one that allocated it,
+  // so its bytes leave a different shard than they entered.
+  AllocatorOptions Opts = buddyOptions(std::size_t{1} << 28);
+  LFAllocator A(Opts);
+  constexpr unsigned NumThreads = BuddyBackend::MeterShards + 3;
+  constexpr unsigned PerRound = 4, Rounds = 24;
+  std::vector<std::atomic<void *>> Mailbox(NumThreads * PerRound);
+  std::barrier Sync(NumThreads);
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      std::mt19937_64 Rng(test::baseSeed() + 77 * T);
+      for (unsigned R = 0; R < Rounds; ++R) {
+        for (unsigned K = 0; K < PerRound; ++K) {
+          // No ASSERT here: a thread leaving early would strand the rest
+          // at the barrier. Null frees are no-ops.
+          void *P = A.allocate(MinOrder + Rng() % (1u << 20));
+          EXPECT_NE(P, nullptr);
+          if (P != nullptr)
+            std::memset(P, static_cast<int>(T + 1), 64);
+          Mailbox[T * PerRound + K].store(P, std::memory_order_relaxed);
+        }
+        Sync.arrive_and_wait();
+        const unsigned From = (T + 1) % NumThreads;
+        for (unsigned K = 0; K < PerRound; ++K)
+          A.deallocate(
+              Mailbox[From * PerRound + K].load(std::memory_order_relaxed));
+        Sync.arrive_and_wait();
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  const LargeBackendSnapshot S = snap(A);
+  EXPECT_EQ(S.OsFallbacks, 0u);
+  EXPECT_EQ(S.Allocs, std::uint64_t{NumThreads} * PerRound * Rounds);
+  EXPECT_EQ(S.Allocs, S.Frees);
+  EXPECT_EQ(S.BytesAllocated, 0u);
+  EXPECT_EQ(S.FreeCommittedBytes, S.BytesCommitted);
+  // Committed bytes == popcount of the residency bitmaps, allocated bytes
+  // == the busy blocks of the trees.
   expectValid(A);
   expectCensusComplete(S);
 }

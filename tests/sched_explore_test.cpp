@@ -743,6 +743,153 @@ TEST(SchedExplore, BuddyClaimAbaVsTrim) {
   }));
 }
 
+/// Scenario 11 — the ancestor pre-check vs an enclosing claim, scripted:
+/// a claimer reads a zero 16 KiB word whose ancestors are all zero, so
+/// the pre-check passes; it is parked between the pre-check and its claim
+/// CAS while the (uncontrolled) main thread claims the whole 8 MiB root
+/// around it. The parked CAS still succeeds — the word is 0 — and the
+/// up-mark must then meet the BUSY root and undo the claim: exactly one
+/// rollback, the only path on which one still happens now that the scan
+/// skips ranges under BUSY ancestors.
+TEST(SchedExplore, BuddyPreCheckVsEnclosingClaim) {
+  PageAllocator Pages;
+  BuddyBackend Buddy(Pages);
+  Buddy.configure(BuddyBackend::MaxOrderBytes, ~std::size_t{0}); // One tree.
+  LargeBackend::Allocation Small, Whole;
+  bool SmallOk = false;
+  SchedOptions O;
+  O.Seed = test::baseSeed();
+  ScheduleController Ctl(O);
+  Ctl.start({[&] {
+    SmallOk = Buddy.allocate(2 * BuddyBackend::MinOrderBytes, OsPageSize,
+                             Small);
+  }});
+  // The claimer's first schedule point is the BuddyAlloc one, right after
+  // the pre-check found no BUSY ancestor.
+  ASSERT_TRUE(Ctl.step(0, 1));
+  ASSERT_TRUE(Buddy.allocate(BuddyBackend::MaxOrderBytes, OsPageSize, Whole));
+  ASSERT_FALSE(Whole.OsMapped);
+  while (Ctl.step(0, 1)) {
+  }
+  Ctl.finish();
+
+  LargeBackendSnapshot S;
+  Buddy.snapshot(S);
+  EXPECT_EQ(S.Rollbacks, 1u);
+  ASSERT_TRUE(SmallOk);
+  // The root is taken, so the claimer went on to a second span.
+  const char *Root = static_cast<const char *>(Whole.Block);
+  const char *P = static_cast<const char *>(Small.Block);
+  EXPECT_TRUE(P + Small.Total <= Root || P >= Root + Whole.Total)
+      << "a rolled-back claim was handed out inside the enclosing block";
+  Buddy.deallocate(Small.Block, Small.Total);
+  Buddy.deallocate(Whole.Block, Whole.Total);
+  const char *What = nullptr;
+  EXPECT_TRUE(Buddy.debugValidate(&What)) << (What ? What : "?");
+}
+
+//===----------------------------------------------------------------------===//
+// Hazard-record cold start. A thread's first touch of a HazardDomain
+// either adopts a released record (CAS on its Active flag) or mints one by
+// bumping the watermark. The bump makes the record visible to adopters
+// before the minter owns it, so the mint must claim with the same CAS —
+// otherwise an adopter in that window takes the record too, and two
+// threads share hazard slots: one's publish overwrites the other's, and
+// an object still protected by the first is reclaimed.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct ColdStartObj : HazardErasable {
+  bool Reclaimed = false;
+};
+
+void markReclaimed(HazardErasable *Obj, void *) {
+  static_cast<ColdStartObj *>(Obj)->Reclaimed = true;
+}
+
+} // namespace
+
+/// Scenario 12 — scripted: a minter parked between its watermark bump and
+/// its claim, the (uncontrolled) main thread touching the domain in that
+/// window. The main thread's protected object must survive the minter's
+/// publish, clear and thread exit.
+TEST(SchedExplore, HazardMintWindowVsAdopter) {
+  ColdStartObj Other, Mine; // Outlive the domain, which drains on exit.
+  HazardDomain Domain;
+  SchedOptions O;
+  O.Seed = test::baseSeed();
+  ScheduleController Ctl(O);
+  Ctl.start({[&] {
+    Domain.publish(0, &Other);
+    Domain.clear(0);
+  }});
+  // The minter's first schedule point is HazardClaim: the watermark says
+  // one record exists, and nobody owns it yet.
+  ASSERT_TRUE(Ctl.step(0, 1));
+  Domain.publish(0, &Mine);
+  while (Ctl.step(0, 1)) {
+  }
+  Ctl.finish(); // Joins the minter: its exit releases its record.
+
+  Domain.retire(&Mine, markReclaimed, nullptr);
+  Domain.drainAll();
+  EXPECT_FALSE(Mine.Reclaimed)
+      << "an object protected by this thread was reclaimed: the minter "
+         "claimed this thread's hazard record";
+  EXPECT_EQ(Domain.recordWatermark(), 2u);
+  Domain.clear(0);
+  Domain.drainAll();
+  EXPECT_TRUE(Mine.Reclaimed);
+}
+
+/// Scenario 13 — cold start, explored: N threads touch a fresh domain at
+/// once. Each publishes a hazard on its own object, retires it while
+/// holding the hazard, drains, and checks the object survived; only then
+/// does it clear. Any two threads sharing a record fail this (whichever
+/// published first loses its protection).
+TEST(SchedExplore, HazardColdStart) {
+  constexpr unsigned NumThreads = 4;
+  ExploreOptions Opts = exploreOptions(10ull << 20, 300);
+  Opts.Proto.HorizonEstimate = 32;
+  reportExplore(explore(Opts, [&](const SchedOptions &O) {
+    ScheduleOutcome Out;
+    ColdStartObj Objs[NumThreads]; // Outlive the domain.
+    HazardDomain Domain;
+    std::mutex M;
+    std::string Err;
+    std::vector<std::function<void()>> Bodies;
+    for (unsigned T = 0; T < NumThreads; ++T)
+      Bodies.push_back([&, T] {
+        Domain.publish(0, &Objs[T]);
+        ScheduleController::current()->yield(Site::HazardClaim);
+        Domain.retire(&Objs[T], markReclaimed, nullptr);
+        Domain.drainAll();
+        {
+          std::lock_guard<std::mutex> Lock(M);
+          if (Objs[T].Reclaimed && Err.empty())
+            Err = "object reclaimed while its thread still protected it "
+                  "(two threads share a hazard record)";
+        }
+        Domain.clear(0);
+      });
+    ScheduleController Ctl(O);
+    Ctl.run(std::move(Bodies));
+    Domain.drainAll();
+    if (Err.empty())
+      for (const ColdStartObj &Obj : Objs)
+        if (!Obj.Reclaimed)
+          Err = "retired object never reclaimed after every hazard cleared";
+    if (Err.empty() && Ctl.runawayDetected())
+      Err = "schedule exceeded MaxSteps (livelock-shaped)";
+    if (!Err.empty()) {
+      Out.Ok = false;
+      Out.Message = Err;
+    }
+    return Out;
+  }));
+}
+
 /// Sanity: one fixed schedule end-to-end with every oracle engaged, so a
 /// broken harness (rather than a broken allocator) fails fast and clearly.
 TEST(SchedExplore, SingleScheduleSmoke) {
