@@ -48,15 +48,6 @@ void BM_TasLockPair(benchmark::State &State) {
   }
 }
 
-void BM_TicketLockPair(benchmark::State &State) {
-  TicketLock Lock;
-  for (auto _ : State) {
-    Lock.lock();
-    benchmark::ClobberMemory();
-    Lock.unlock();
-  }
-}
-
 void BM_CasPair(benchmark::State &State) {
   std::atomic<std::uint64_t> Word{0};
   std::uint64_t V = 0;
@@ -124,7 +115,6 @@ BENCHMARK(BM_LFAllocatorDirectPair);
 BENCHMARK(BM_StatsOnPairShared)->Threads(1)->Threads(8);
 BENCHMARK(BM_StatsOffPairShared)->Threads(1)->Threads(8);
 BENCHMARK(BM_TasLockPair);
-BENCHMARK(BM_TicketLockPair);
 BENCHMARK(BM_CasPair);
 BENCHMARK(BM_SeqCstFence);
 

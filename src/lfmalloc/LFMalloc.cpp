@@ -157,45 +157,3 @@ void *lf_aligned_alloc(size_t Alignment, size_t Bytes) {
 size_t lf_malloc_usable_size(const void *Ptr) {
   return lfm::lfUsableSize(Ptr);
 }
-
-// Legacy dump entry points, kept for source compatibility: each is a thin
-// wrapper over the matching lf_malloc_ctl dump key (MallocCtl.cpp). New
-// code should call lf_malloc_ctl directly.
-
-namespace {
-
-/// Adapts a ctl dump key to the legacy 0/-1 convention. A null or empty
-/// path passes In = null so the key selects stderr.
-int legacyDump(const char *Key, const char *Path) {
-  const bool HavePath = Path != nullptr && Path[0] != '\0';
-  const int Rc = lf_malloc_ctl(Key, nullptr, nullptr,
-                               HavePath ? Path : nullptr,
-                               HavePath ? std::strlen(Path) + 1 : 0);
-  return Rc == 0 ? 0 : -1;
-}
-
-} // namespace
-
-void lf_malloc_stats(void) { legacyDump("dump.metrics", nullptr); }
-
-int lf_malloc_metrics_json(const char *Path) {
-  return legacyDump("dump.metrics", Path);
-}
-
-int lf_malloc_trace_dump(const char *Path) {
-  return legacyDump("dump.trace", Path);
-}
-
-int lf_malloc_heap_profile(const char *Path) {
-  return legacyDump("dump.heap_profile", Path);
-}
-
-int lf_malloc_heap_profile_json(const char *Path) {
-  return legacyDump("dump.heap_profile_json", Path);
-}
-
-int lf_malloc_heap_topology_json(const char *Path) {
-  return legacyDump("dump.topology", Path);
-}
-
-void lf_malloc_leak_report(void) { legacyDump("dump.leak_report", nullptr); }

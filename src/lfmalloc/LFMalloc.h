@@ -81,9 +81,12 @@ size_t lf_malloc_usable_size(const void *Ptr);
 ///   retain.decay_ms         decay period, -1 off (i64, get/set)
 ///   trim                    release retained memory now (action)
 ///   dump.metrics|trace|topology|heap_profile|heap_profile_json|
-///   dump.leak_report|heap_profile_seq   write a report (In = path)
+///   dump.leak_report        write a report (In = path, null = stderr)
 ///   dump.prometheus         Prometheus text exposition (In = path)
+///   dump.heap_profile_seq   sequenced "<prefix>.<seq>.heap" dump (no In)
 ///   dump.prometheus_seq     sequenced "<prefix>.<seq>.prom" dump (no In)
+///                           (both _seq keys are async-signal-safe: the
+///                           shim's SIGUSR2 dumps call them)
 ///   exporter.start          start background exporter (In = u64 ms)
 ///   exporter.stop           stop and join the exporter (action)
 ///   exporter.flush          run one export cycle synchronously (action)
@@ -99,65 +102,6 @@ int lf_malloc_ctl(const char *Key, void *Out, size_t *OutLen, const void *In,
 /// the OS, keeping at most \p KeepBytes cached. Lock-free. \returns 1 if
 /// any memory was released, else 0.
 int lf_malloc_trim(size_t KeepBytes);
-
-/// \deprecated Writes the default allocator's metrics JSON to stderr.
-/// Wrapper over lf_malloc_ctl("dump.metrics").
-void lf_malloc_stats(void);
-
-/// \deprecated Writes metrics JSON to \p Path (null or "" selects
-/// stderr). Wrapper over lf_malloc_ctl("dump.metrics"). \returns 0 on
-/// success, -1 if the file cannot be opened.
-int lf_malloc_metrics_json(const char *Path);
-
-/// \deprecated Writes the recorded trace as Chrome trace JSON to \p Path
-/// (null or "" selects stderr; empty event list unless LFM_TRACE was set
-/// at first use). Wrapper over lf_malloc_ctl("dump.trace"). \returns 0 on
-/// success, -1 if the file cannot be opened.
-int lf_malloc_trace_dump(const char *Path);
-
-/// \deprecated Writes the sampling heap profile in gperftools
-/// `heap profile:` text to \p Path (null or "" selects stderr), so
-/// `pprof --text <binary> <path>` renders it. Malloc-free, lock-free,
-/// async-signal-safe (open/write/close on raw fds). An all-zero header
-/// without a profiler (needs a telemetry build + LFM_PROFILE=1).
-/// Wrapper over lf_malloc_ctl("dump.heap_profile"). \returns 0 on
-/// success, -1 if the file cannot be opened.
-int lf_malloc_heap_profile(const char *Path);
-
-/// \deprecated Writes the heap profile as `lfm-heapprofile-v1` JSON to
-/// \p Path (null or "" selects stderr). Not async-signal-safe (stdio).
-/// Wrapper over lf_malloc_ctl("dump.heap_profile_json"). \returns 0 on
-/// success, -1 if the file cannot be opened.
-int lf_malloc_heap_profile_json(const char *Path);
-
-/// \deprecated Writes the heap-topology census (`lfm-heaptopology-v1`
-/// JSON: per-class occupancy histograms, fragmentation ratios,
-/// address-ordered heap map) to \p Path (null or "" selects stderr).
-/// Works in every build. Not async-signal-safe. Wrapper over
-/// lf_malloc_ctl("dump.topology"). \returns 0 on success, -1 on open
-/// failure.
-int lf_malloc_heap_topology_json(const char *Path);
-
-/// Signal-handler entry point: writes the heap profile to
-/// "<LFM_PROFILE_DUMP>.<seq>.heap" (prefix cached at allocator init, so
-/// no getenv here; default prefix "lfm-heap"). Async-signal-safe after the
-/// default allocator exists. Also reachable as
-/// lf_malloc_ctl("dump.heap_profile_seq"). \returns 0 on success.
-int lf_malloc_heap_profile_dump(void);
-
-/// Signal-handler entry point: writes the full Prometheus text exposition
-/// (counters, gauges, and the sampled latency histograms) to
-/// "<LFM_STATS_PREFIX>.<seq>.prom" (prefix cached at allocator init;
-/// default "lfm-stats"). Async-signal-safe after the default allocator
-/// exists — raw fds, no stdio, no allocation. Also reachable as
-/// lf_malloc_ctl("dump.prometheus_seq"). \returns 0 on success.
-int lf_malloc_latency_dump(void);
-
-/// \deprecated Writes the surviving-sampled-allocations leak report to
-/// stderr. Async-signal-safe; the LD_PRELOAD shim registers this with
-/// atexit when LFM_LEAK_REPORT=1. Wrapper over
-/// lf_malloc_ctl("dump.leak_report").
-void lf_malloc_leak_report(void);
 }
 
 #endif // LFMALLOC_LFMALLOC_LFMALLOC_H

@@ -7,9 +7,10 @@
 /// \file
 /// lf_malloc_ctl(): one keyed entry point over the default allocator's
 /// statistics, dumps, and runtime knobs, in the style of jemalloc's
-/// mallctl. The seven legacy lf_malloc_* dump functions are thin wrappers
-/// over the `dump.*` keys (see LFMalloc.cpp); new surface area lands here
-/// as keys, not as new C symbols.
+/// mallctl. Every report is a `dump.*` key; new surface area lands here
+/// as keys, not as new C symbols. Scalar reads (`stats.*` gauges,
+/// `contention.*` status) resolve through the metric registry
+/// (telemetry/Metrics.def) rather than a table of their own.
 ///
 /// Conventions (documented in docs/API.md):
 ///  - Reads fill *Out and set *OutLen to the bytes written. Passing a null
@@ -23,8 +24,9 @@
 ///    errno itself.
 ///
 /// The dispatcher allocates nothing and takes no locks; dump keys stream
-/// through stdio except the heap-profile text dumps, which stay on raw
-/// fds so signal handlers can reach them through the legacy wrappers.
+/// through stdio except the heap-profile text, leak-report and Prometheus
+/// dumps, which stay on raw fds so signal handlers can reach them through
+/// the `_seq` keys.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -153,62 +155,32 @@ int dumpFd(const void *In, size_t InLen, int (*Writer)(LFAllocator &, int)) {
   return Rc == 0 ? 0 : EIO;
 }
 
-/// stats.<name>: every counter by its JSON name, plus the space and gauge
-/// fields of the metrics snapshot under the same names the JSON uses.
-int statsGet(const char *Name, void *Out, size_t *OutLen) {
-  const telemetry::MetricsSnapshot Snap =
-      lfm::defaultAllocator().metricsSnapshot();
+/// Reads the registry scalar whose ctl key is \p Key (Metrics.def: the
+/// `stats.*` space and gauge rows and the `contention.*` status rows) as
+/// its 8-byte wire value, which for the i64 rows is the i64 itself.
+int scalarGet(const char *Key, void *Out, size_t *OutLen) {
+  for (unsigned I = 0; I < telemetry::NumScalars; ++I) {
+    if (std::strcmp(Key, telemetry::ScalarTable[I].Ctl) != 0)
+      continue;
+    std::uint64_t Values[telemetry::NumScalars];
+    telemetry::readScalars(lfm::defaultAllocator().metricsSnapshot(), Values);
+    return readU64(Out, OutLen, Values[I]);
+  }
+  return ENOENT;
+}
+
+/// stats.<name>: every counter by its JSON name, plus the registry scalars
+/// exported under stats.* (the space and gauge fields, by their JSON
+/// names).
+int statsGet(const char *Key, void *Out, size_t *OutLen) {
+  const char *Name = Key + 6;
   for (unsigned C = 0; C < telemetry::NumCounters; ++C) {
     if (std::strcmp(Name, telemetry::counterName(
                               static_cast<telemetry::Counter>(C))) == 0)
-      return readU64(Out, OutLen, Snap.Counters[C]);
+      return readU64(Out, OutLen,
+                     lfm::defaultAllocator().metricsSnapshot().Counters[C]);
   }
-  const struct {
-    const char *Name;
-    std::uint64_t Value;
-  } Rows[] = {
-      {"bytes_in_use", Snap.Space.BytesInUse},
-      {"peak_bytes", Snap.Space.PeakBytes},
-      {"map_calls", Snap.Space.MapCalls},
-      {"unmap_calls", Snap.Space.UnmapCalls},
-      {"decommit_calls", Snap.Space.DecommitCalls},
-      {"bytes_decommitted", Snap.Space.BytesDecommitted},
-      {"map_retries", Snap.Space.MapRetries},
-      {"map_failures", Snap.Space.MapFailures},
-      {"bytes_reserved", Snap.Space.BytesReserved},
-      {"reserve_calls", Snap.Space.ReserveCalls},
-      {"large_backend_buddy", Snap.LargeBackendBuddy ? 1u : 0u},
-      {"buddy_spans_reserved", Snap.BuddySpansReserved},
-      {"buddy_span_bytes", Snap.BuddySpanBytes},
-      {"buddy_bytes_reserved", Snap.BuddyBytesReserved},
-      {"buddy_bytes_committed", Snap.BuddyBytesCommitted},
-      {"buddy_bytes_allocated", Snap.BuddyBytesAllocated},
-      {"buddy_free_committed_bytes", Snap.BuddyFreeCommittedBytes},
-      {"cached_superblocks", Snap.CachedSuperblocks},
-      {"retained_bytes", Snap.RetainedBytes},
-      {"decommitted_superblocks", Snap.DecommittedSuperblocks},
-      {"parked_hyperblocks", Snap.ParkedHyperblocks},
-      {"retain_max_bytes", Snap.RetainMaxBytes},
-      {"descriptors_minted", Snap.DescriptorsMinted},
-      {"hazard_retired", Snap.HazardRetired},
-      {"hazard_scans", Snap.HazardScans},
-      {"hazard_reclaims", Snap.HazardReclaims},
-      {"trace_events_emitted", Snap.TraceEventsEmitted},
-      {"trace_events_overwritten", Snap.TraceEventsOverwritten},
-      {"alloctrace_recording", Snap.AllocTraceRecording ? 1u : 0u},
-      {"alloctrace_ops", Snap.AllocTraceOps},
-      {"alloctrace_dropped", Snap.AllocTraceDropped},
-      {"tcache_caches_minted", Snap.TcacheCachesMinted},
-      {"tcache_caches_parked", Snap.TcacheCachesParked},
-      {"tcache_magazine_blocks", Snap.TcacheMagazineBlocks},
-      {"tcache_depot_blocks", Snap.TcacheDepotBlocks},
-  };
-  for (const auto &Row : Rows)
-    if (std::strcmp(Name, Row.Name) == 0)
-      return readU64(Out, OutLen, Row.Value);
-  if (std::strcmp(Name, "retain_decay_ms") == 0)
-    return readI64(Out, OutLen, Snap.RetainDecayMs);
-  return ENOENT;
+  return scalarGet(Key, Out, OutLen);
 }
 
 /// opt.<name>: read-only echo of the default allocator's resolved options
@@ -290,7 +262,7 @@ int optGet(const char *Name, void *Out, size_t *OutLen) {
   return ENOENT;
 }
 
-/// shmstats.<name>: the lfm-shmstats-v1 shared-memory segment — status
+/// shmstats.<name>: the lfm-shmstats-v2 shared-memory segment — status
 /// reads plus the explicit publish action (docs/OBSERVABILITY.md, "Live
 /// out-of-process inspection"). All keys resolve in telemetry-OFF builds
 /// too (the ShmStats stubs report an inactive segment).
@@ -412,8 +384,9 @@ int prometheusFd(LFAllocator &Alloc, int Fd) {
 /// contention.<name>: the contention recorder's health indicators and the
 /// explicit watchdog trigger (docs/OBSERVABILITY.md, "Contention &
 /// progress").
-int contentionCtl(const char *Name, void *Out, size_t *OutLen,
+int contentionCtl(const char *Key, void *Out, size_t *OutLen,
                   const void *In, size_t InLen) {
+  const char *Name = Key + 11;
   LFAllocator &Alloc = lfm::defaultAllocator();
   if (std::strcmp(Name, "scan") == 0) {
     // Action key: one watchdog pass now, diagnosis to the optional dump
@@ -444,26 +417,7 @@ int contentionCtl(const char *Name, void *Out, size_t *OutLen,
     return readU64(Out, OutLen, O.ContentionStallMs);
   if (std::strcmp(Name, "storm_retries") == 0)
     return readU64(Out, OutLen, O.ContentionStormRetries);
-  const telemetry::MetricsSnapshot Snap = Alloc.metricsSnapshot();
-  const struct {
-    const char *Name;
-    std::uint64_t Value;
-  } Rows[] = {
-      {"enabled", Snap.ContentionEnabled ? 1u : 0u},
-      {"sample_period", Snap.ContentionSamplePeriod},
-      {"samples", Snap.ContentionSamples},
-      {"heat_entries", Snap.ContentionHeatEntries},
-      {"heat_capacity", Snap.ContentionHeatCapacity},
-      {"heat_dropped", Snap.ContentionHeatDropped},
-      {"watchdog", Snap.WatchdogArmed ? 1u : 0u},
-      {"scans", Snap.WatchdogScans},
-      {"stalls", Snap.WatchdogStalls},
-      {"storms", Snap.WatchdogStorms},
-  };
-  for (const auto &Row : Rows)
-    if (std::strcmp(Name, Row.Name) == 0)
-      return readU64(Out, OutLen, Row.Value);
-  return ENOENT;
+  return scalarGet(Key, Out, OutLen);
 }
 
 /// StatsExporter emit callback over the default allocator. Every branch is
@@ -585,6 +539,34 @@ std::size_t buildSeqPath(const char *Prefix, std::size_t PrefixCap,
   return Len;
 }
 
+/// dump.heap_profile_seq: the heap profile to "<LFM_PROFILE_DUMP>.<seq>.heap".
+/// Async-signal-safe: cached prefix, hand-rolled sequence formatting, and
+/// the raw-fd dump.heap_profile path underneath. The sequence counter
+/// makes concurrent or repeated signals write distinct files instead of
+/// clobbering one another.
+int heapProfileSeqDump() {
+  static std::atomic<unsigned> Seq{0};
+  const unsigned N = Seq.fetch_add(1, std::memory_order_relaxed);
+  char Path[detail::ProfileDumpPrefixCap + 16];
+  const std::size_t Len = buildSeqPath(detail::ProfileDumpPrefix,
+                                       detail::ProfileDumpPrefixCap, N,
+                                       ".heap", Path);
+  return dumpFd(Path, Len + 1, heapProfileFd);
+}
+
+/// dump.prometheus_seq: same discipline for the Prometheus exposition —
+/// distinct sequence counter, cached LFM_STATS_PREFIX, raw fds all the
+/// way down.
+int prometheusSeqDump() {
+  static std::atomic<unsigned> Seq{0};
+  const unsigned N = Seq.fetch_add(1, std::memory_order_relaxed);
+  char Path[detail::StatsPrefixCap + 16];
+  const std::size_t Len = buildSeqPath(detail::StatsPrefix,
+                                       detail::StatsPrefixCap, N, ".prom",
+                                       Path);
+  return dumpFd(Path, Len + 1, prometheusFd);
+}
+
 } // namespace
 
 int lf_malloc_ctl(const char *Key, void *Out, size_t *OutLen, const void *In,
@@ -665,7 +647,7 @@ int lf_malloc_ctl(const char *Key, void *Out, size_t *OutLen, const void *In,
   if (std::strncmp(Key, "stats.", 6) == 0) {
     if (In != nullptr)
       return EPERM;
-    return statsGet(Key + 6, Out, OutLen);
+    return statsGet(Key, Out, OutLen);
   }
 
   if (std::strncmp(Key, "opt.", 4) == 0) {
@@ -720,21 +702,21 @@ int lf_malloc_ctl(const char *Key, void *Out, size_t *OutLen, const void *In,
   if (std::strcmp(Key, "dump.heap_profile_seq") == 0) {
     if (In != nullptr)
       return EINVAL;
-    return lf_malloc_heap_profile_dump() == 0 ? 0 : EIO;
+    return heapProfileSeqDump();
   }
   if (std::strcmp(Key, "dump.prometheus") == 0)
     return dumpFd(In, InLen, prometheusFd);
   if (std::strcmp(Key, "dump.prometheus_seq") == 0) {
     if (In != nullptr)
       return EINVAL;
-    return lf_malloc_latency_dump() == 0 ? 0 : EIO;
+    return prometheusSeqDump();
   }
 
   if (std::strncmp(Key, "trace.", 6) == 0)
     return traceCtl(Key + 6, Out, OutLen, In, InLen);
 
   if (std::strncmp(Key, "contention.", 11) == 0)
-    return contentionCtl(Key + 11, Out, OutLen, In, InLen);
+    return contentionCtl(Key, Out, OutLen, In, InLen);
 
   if (std::strncmp(Key, "largebackend.", 13) == 0)
     return largeBackendCtl(Key + 13, Out, OutLen, In, InLen);
@@ -749,35 +731,4 @@ int lf_malloc_trim(size_t KeepBytes) {
   // glibc malloc_trim semantics: returns 1 when memory was actually
   // released back to the system, 0 otherwise.
   return lfm::defaultAllocator().releaseMemory(KeepBytes) > 0 ? 1 : 0;
-}
-
-int lf_malloc_heap_profile_dump(void) {
-  // Async-signal-safe: cached prefix, hand-rolled sequence formatting, and
-  // the raw-fd dump.heap_profile path underneath. The sequence counter
-  // makes concurrent or repeated signals write distinct files instead of
-  // clobbering one another.
-  static std::atomic<unsigned> Seq{0};
-  const unsigned N = Seq.fetch_add(1, std::memory_order_relaxed);
-  char Path[detail::ProfileDumpPrefixCap + 16];
-  const std::size_t Len = buildSeqPath(detail::ProfileDumpPrefix,
-                                       detail::ProfileDumpPrefixCap, N,
-                                       ".heap", Path);
-  return lf_malloc_ctl("dump.heap_profile", nullptr, nullptr, Path, Len + 1) ==
-                 0
-             ? 0
-             : -1;
-}
-
-int lf_malloc_latency_dump(void) {
-  // Same discipline for the Prometheus exposition: distinct sequence
-  // counter, cached LFM_STATS_PREFIX, raw fds all the way down.
-  static std::atomic<unsigned> Seq{0};
-  const unsigned N = Seq.fetch_add(1, std::memory_order_relaxed);
-  char Path[detail::StatsPrefixCap + 16];
-  const std::size_t Len = buildSeqPath(detail::StatsPrefix,
-                                       detail::StatsPrefixCap, N, ".prom",
-                                       Path);
-  return lf_malloc_ctl("dump.prometheus", nullptr, nullptr, Path, Len + 1) == 0
-             ? 0
-             : -1;
 }

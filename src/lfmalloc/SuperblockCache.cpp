@@ -13,10 +13,33 @@
 #include "support/Timing.h"
 #include "telemetry/Telemetry.h"
 
+#include <atomic>
 #include <cassert>
 #include <new>
 
 using namespace lfm;
+
+namespace {
+
+// A stale TreiberStack::pop may load the link word of a node it no longer
+// owns (its tagged CAS then fails), so once a superblock has been on a
+// stack its link is only ever written through atomic_ref, the way
+// TreiberStack::push writes it.
+
+/// Writes a free-list link that a stale popper may be reading.
+template <class NodeT> void storeLink(NodeT *&Link, NodeT *Value) {
+  std::atomic_ref<NodeT *>(Link).store(Value, std::memory_order_relaxed);
+}
+
+/// Starts a free-list node in \p Mem with no plain store to its link:
+/// default-initialization leaves Next alone, and push() writes it.
+template <class NodeT> NodeT *startNode(void *Mem, std::uint64_t Flags) {
+  auto *Node = new (Mem) NodeT;
+  Node->Flags = Flags;
+  return Node;
+}
+
+} // namespace
 
 SuperblockCache::SuperblockCache(PageAllocator &Pages, std::size_t SbSize,
                                  std::size_t HyperSize)
@@ -98,7 +121,7 @@ void SuperblockCache::release(void *Sb) {
   hyperOf(Sb)->FreeCount.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t Cached =
       CachedSbs.fetch_add(1, std::memory_order_relaxed) + 1;
-  FreeSb *Node = new (Sb) FreeSb();
+  FreeSb *Node = startNode<FreeSb>(Sb, 0);
   // Over the retention watermark: return this superblock's physical pages
   // right away. This must happen *before* the push — afterwards another
   // thread could pop the block and write into pages we are discarding.
@@ -154,7 +177,8 @@ bool SuperblockCache::mintHyperblock() {
   // Slot 0 hosts the header; slots 1..SbsPerHyper are superblocks.
   char *Base = static_cast<char *>(Raw);
   for (std::uint32_t I = 1; I <= SbsPerHyper; ++I)
-    FreeList.push(new (Base + static_cast<std::size_t>(I) * SbSize) FreeSb());
+    FreeList.push(
+        startNode<FreeSb>(Base + static_cast<std::size_t>(I) * SbSize, 0));
   CachedSbs.fetch_add(SbsPerHyper, std::memory_order_relaxed);
   return true;
 }
@@ -176,10 +200,8 @@ bool SuperblockCache::unparkHyperblock() {
   CachedSbs.fetch_add(SbsPerHyper, std::memory_order_relaxed);
   DecommittedSbs.fetch_add(SbsPerHyper, std::memory_order_relaxed);
   for (std::uint32_t I = 1; I <= SbsPerHyper; ++I) {
-    auto *Node =
-        new (Base + static_cast<std::size_t>(I) * SbSize) FreeSb();
-    Node->Flags = FreeSbDecommitted;
-    FreeList.push(Node);
+    FreeList.push(startNode<FreeSb>(Base + static_cast<std::size_t>(I) * SbSize,
+                                    FreeSbDecommitted));
   }
   return true;
 }
@@ -209,7 +231,7 @@ std::size_t SuperblockCache::trimRetained(std::size_t KeepBytes) {
     if (!Sb)
       break;
     CachedSbs.fetch_sub(1, std::memory_order_relaxed);
-    Sb->Next = Chain;
+    storeLink(Sb->Next, Chain);
     Chain = Sb;
     ++Drained;
   }
@@ -249,7 +271,7 @@ std::size_t SuperblockCache::trimRetained(std::size_t KeepBytes) {
         // +1 sentinel so siblings skip the queueing.
         Hyper->TrimCollected.store(SbsPerHyper + 1,
                                    std::memory_order_relaxed);
-        Hyper->ParkNext = DeadQ;
+        storeLink(Hyper->ParkNext, DeadQ);
         DeadQ = Hyper;
       }
       if (Node->Flags & FreeSbDecommitted)
@@ -322,7 +344,7 @@ std::size_t SuperblockCache::trimQuiescent() {
   // hyperblock is not fully free; unmap the fully free hyperblocks.
   FreeSb *Kept = nullptr;
   while (FreeSb *Sb = FreeList.pop()) {
-    Sb->Next = Kept;
+    storeLink(Sb->Next, Kept);
     Kept = Sb;
   }
 

@@ -23,7 +23,7 @@ using namespace lfm::tcache;
 
 namespace lfm {
 namespace tcache {
-thread_local TlsState TheTls;
+constinit thread_local TlsState TheTls;
 } // namespace tcache
 } // namespace lfm
 

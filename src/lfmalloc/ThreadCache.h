@@ -127,7 +127,9 @@ struct TlsState {
   bool ExitHooked = false; ///< pthread_setspecific done for this thread.
 };
 
-extern thread_local TlsState TheTls;
+/// constinit for the same reason as CachedThreadIndex: no TLS init-function
+/// check on the fast path.
+extern constinit thread_local TlsState TheTls;
 
 /// The calling thread's tcache state. Plain TLS load; safe everywhere.
 inline TlsState &tls() { return TheTls; }

@@ -239,7 +239,13 @@ HazardDomain::Record *HazardDomain::myRecord() {
 void HazardDomain::publishHazard(unsigned Slot, void *Ptr) {
   assert(Slot < SlotsPerThread && "hazard slot out of range");
   Record *Rec = myRecord();
-  Rec->Slots[Slot].store(Ptr, std::memory_order_relaxed);
+  // Release, like clear(): this store may overwrite the hazard on a node
+  // this thread just read (MSQueue::dequeue reads Next->Value, then a
+  // failed head CAS loops back here). A scanner that acquire-loads the new
+  // value must see those reads as done before it reclaims the old node;
+  // a relaxed store here leaves no such edge, and the node's next owner's
+  // plain write would race with the read.
+  Rec->Slots[Slot].store(Ptr, std::memory_order_release);
   // Order the publication before the validating re-read in protect() and
   // against the scanner's collection pass. This fence pairs with the one at
   // the top of scan().

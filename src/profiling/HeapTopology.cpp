@@ -81,9 +81,9 @@ void lfm::profiling::writeTopologyJson(const TopologySnapshot &T,
   W.field("decommitted_superblocks", T.DecommittedSuperblocks);
   W.field("parked_hyperblocks", T.ParkedHyperblocks);
   W.field("descriptors_minted", T.DescriptorsMinted);
-  W.fieldDouble("ext_frag", T.externalFragRatio());
+  W.field("ext_frag", T.externalFragRatio());
   if (T.ProfilerAttached)
-    W.fieldDouble("int_frag", T.internalFragRatio());
+    W.field("int_frag", T.internalFragRatio());
   W.endObject();
 
   W.key("classes");
@@ -104,9 +104,9 @@ void lfm::profiling::writeTopologyJson(const TopologySnapshot &T,
     W.field("used_blocks", Cl.UsedBlocks);
     W.field("cached_blocks", Cl.CachedBlocks);
     W.field("free_blocks", Cl.freeBlocks());
-    W.fieldDouble("ext_frag", Cl.externalFragRatio(T.SuperblockBytes));
+    W.field("ext_frag", Cl.externalFragRatio(T.SuperblockBytes));
     if (T.ProfilerAttached && Cl.LiveEstBlockBytes != 0) {
-      W.fieldDouble("int_frag", Cl.internalFragRatio());
+      W.field("int_frag", Cl.internalFragRatio());
       W.field("live_est_req_bytes", Cl.LiveEstReqBytes);
       W.field("live_est_block_bytes", Cl.LiveEstBlockBytes);
     }

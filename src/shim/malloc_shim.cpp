@@ -189,9 +189,13 @@ bool DumpLatencyArmed = false;
 // registrar without clobbering ours). Each callback is async-signal-safe:
 // raw-fd I/O over pre-cached state, or plain stores.
 
-void dumpProfileCb() { lf_malloc_heap_profile_dump(); }
+void dumpProfileCb() {
+  lf_malloc_ctl("dump.heap_profile_seq", nullptr, nullptr, nullptr, 0);
+}
 
-void dumpLatencyCb() { lf_malloc_latency_dump(); }
+void dumpLatencyCb() {
+  lf_malloc_ctl("dump.prometheus_seq", nullptr, nullptr, nullptr, 0);
+}
 
 // One atomic store; a no-op unless a flight recording is active. The
 // writer thread flushes on its next wakeup (~25 ms).
@@ -204,11 +208,11 @@ void shmPublishCb() {
 }
 
 void leakReportAtExit() {
-  lf_malloc_leak_report();
+  lf_malloc_ctl("dump.leak_report", nullptr, nullptr, nullptr, 0);
   // A leak report at exit is a post-mortem; the latency exposition is the
   // other half of that story, so emit it alongside when it has data.
   if (DumpLatencyArmed)
-    lf_malloc_latency_dump();
+    dumpLatencyCb();
 }
 
 // Final frame at orderly exit: whatever reads the segment (or the core)
@@ -241,7 +245,7 @@ __attribute__((constructor)) void shimInit() {
                     const_cast<char *>(TracePath),
                     std::strlen(TracePath) + 1) == 0)
     telemetry::dumpSignalRegister(traceFlushCb);
-  // LFM_SHM_STATS: map the lfm-shmstats-v1 segment, publish the first
+  // LFM_SHM_STATS: map the lfm-shmstats-v2 segment, publish the first
   // frame immediately (an inspector attaching before the first exporter
   // tick still sees valid numbers), keep it fresh on SIGUSR2, and stamp a
   // final frame at exit.

@@ -43,7 +43,7 @@ const VarSpec Table[NumVars] = {
     {"LFM_STATS_PREFIX", "opt.stats_prefix", "lfm-stats",
      "path prefix for background exporter / signal-dump artifacts"},
     {"LFM_SHM_STATS", "opt.shm_stats", "unset",
-     "lfm-shmstats-v1 segment backing: a path, or 1/auto/memfd for an "
+     "lfm-shmstats-v2 segment backing: a path, or 1/auto/memfd for an "
      "anonymous memfd (telemetry builds)"},
     {"LFM_USDT", "opt.usdt", "1",
      "fire the compiled-in USDT tracepoints at runtime (0 disables)"},

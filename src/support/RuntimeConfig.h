@@ -46,7 +46,7 @@ enum class Var : unsigned {
   StatsPrefix,     ///< LFM_STATS_PREFIX: exporter artifact path prefix.
 
   // Out-of-process live inspection.
-  ShmStats, ///< LFM_SHM_STATS: lfm-shmstats-v1 segment backing
+  ShmStats, ///< LFM_SHM_STATS: lfm-shmstats-v2 segment backing
             ///< (filesystem path, or "1"/"auto"/"memfd" for an anonymous
             ///< memfd); unset disables.
   Usdt,     ///< LFM_USDT: fire USDT tracepoints at runtime (default 1).

@@ -97,30 +97,6 @@ private:
   LockT &Lock;
 };
 
-/// FIFO ticket lock. Used in tests as a fairness reference point and by the
-/// ablation benches; the baselines use TasLock to match the paper's setup.
-class alignas(CacheLineSize) TicketLock {
-public:
-  TicketLock() = default;
-  TicketLock(const TicketLock &) = delete;
-  TicketLock &operator=(const TicketLock &) = delete;
-
-  void lock() {
-    const std::uint32_t My = Next.fetch_add(1, std::memory_order_relaxed);
-    while (Serving.load(std::memory_order_acquire) != My)
-      cpuRelax();
-  }
-
-  void unlock() {
-    Serving.store(Serving.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_release);
-  }
-
-private:
-  std::atomic<std::uint32_t> Next{0};
-  std::atomic<std::uint32_t> Serving{0};
-};
-
 } // namespace lfm
 
 #endif // LFMALLOC_SUPPORT_SPINLOCK_H

@@ -14,7 +14,7 @@ std::atomic<std::uint32_t> NextIndex{0};
 
 } // namespace
 
-thread_local std::uint32_t lfm::detail::CachedThreadIndex =
+constinit thread_local std::uint32_t lfm::detail::CachedThreadIndex =
     lfm::detail::UnassignedThreadIndex;
 
 std::uint32_t lfm::detail::assignThreadIndex() {

@@ -32,7 +32,10 @@ namespace detail {
 /// Sentinel meaning "not yet assigned"; real indices start at 0.
 inline constexpr std::uint32_t UnassignedThreadIndex = ~0u;
 
-extern thread_local std::uint32_t CachedThreadIndex;
+/// constinit: the declaration itself promises constant initialization, so
+/// every access is a plain TLS load with no call through the weak TLS init
+/// function (GCC emits that check for a non-constinit extern thread_local).
+extern constinit thread_local std::uint32_t CachedThreadIndex;
 
 /// Cold path of threadIndex(): assigns and caches this thread's index
 /// (a single atomic fetch-add).

@@ -21,6 +21,7 @@
 #include "telemetry/ContentionSite.h"
 #include "telemetry/Counters.h"
 #include "telemetry/LatencyPath.h"
+#include "telemetry/MetricRegistry.h"
 
 #include <cstdint>
 #include <cstdio>
@@ -28,46 +29,10 @@
 namespace lfm {
 namespace telemetry {
 
-/// Compact latency summary for one outcome path. Quantiles are the
-/// inclusive *upper bounds* of the log-linear bucket holding that rank —
-/// never interpolated point values (support/LogBuckets.h, 12.5% relative
-/// resolution). Zero when no sample hit the path.
-struct LatencyPathStats {
-  std::uint64_t Count = 0;
-  std::uint64_t SumNs = 0;
-  std::uint64_t MaxNs = 0;
-  std::uint64_t P50UpperNs = 0;
-  std::uint64_t P99UpperNs = 0;
-  std::uint64_t P999UpperNs = 0;
-};
-
-/// Per-size-class latency moments (count/sum/max only; the histograms are
-/// per path). Index NumSizeClasses is the shared large/OS slot.
-struct LatencyClassStats {
-  std::uint64_t Count = 0;
-  std::uint64_t SumNs = 0;
-  std::uint64_t MaxNs = 0;
-};
-
-/// Compact contention summary for one CAS retry site (lfm-metrics-v3).
-/// Quantiles follow the latency convention: inclusive bucket upper bounds,
-/// never interpolated. Full bucket detail goes through the Prometheus
-/// lf_malloc_cas_retries exposition instead of this document.
-struct ContentionSiteStats {
-  std::uint64_t Count = 0;        ///< Sampled loop executions.
-  std::uint64_t RetriesSum = 0;   ///< Total sampled retries at this site.
-  std::uint64_t RetriesMax = 0;
-  std::uint64_t RetriesP50 = 0;   ///< Exact for retries <= 7 (LogBuckets
-                                  ///< singletons), bucket upper above.
-  std::uint64_t RetriesP99 = 0;
-  std::uint64_t LoopSumNs = 0;    ///< Total sampled time-in-loop.
-  std::uint64_t LoopMaxNs = 0;
-  std::uint64_t LoopP50UpperNs = 0;
-  std::uint64_t LoopP99UpperNs = 0;
-};
-
 /// Point-in-time metrics for one allocator instance. Counter values are
-/// racy snapshots while threads run and exact once they quiesce.
+/// racy snapshots while threads run and exact once they quiesce. Every
+/// scalar member is exported through one row of the metric registry
+/// (Metrics.def); the renderers never name members themselves.
 struct MetricsSnapshot {
   /// All telemetry counters, indexed by Counter. Zero when the build or
   /// the instance has telemetry disabled.
@@ -174,6 +139,11 @@ struct MetricsSnapshot {
     return Counters[static_cast<unsigned>(C)];
   }
 };
+
+/// Reads every registry scalar (Metrics.def) out of \p S into \p Out
+/// (NumScalars values) as its u64 wire value, in ScalarTable order: bools
+/// as 0/1, i64 as its bit pattern.
+void readScalars(const MetricsSnapshot &S, std::uint64_t *Out);
 
 /// Writes \p Snap as a single JSON object: {"schema":"lfm-metrics-v5",
 /// "config":{...},"space":{...},"counters":{...},"gauges":{...},

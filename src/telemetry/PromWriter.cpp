@@ -31,38 +31,32 @@ void help(profiling::FdWriter &W, const char *Name, const char *Text,
   W.ch('\n');
 }
 
-void sample(profiling::FdWriter &W, const char *Name, std::uint64_t V) {
+/// Writes "lf_malloc_<Prefix><Key><Suffix>".
+void name(profiling::FdWriter &W, const char *Prefix, const char *Key,
+          const char *Suffix) {
   W.str(Ns);
-  W.str(Name);
+  W.str(Prefix);
+  W.str(Key);
+  W.str(Suffix);
+}
+
+/// One single-series family: HELP and TYPE immediately followed by the
+/// sample.
+void scalarFamily(profiling::FdWriter &W, const char *Prefix,
+                  const char *Key, const char *Help, bool IsCounter,
+                  std::uint64_t V) {
+  const char *Suffix = IsCounter ? "_total" : "";
+  W.str("# HELP ");
+  name(W, Prefix, Key, Suffix);
+  W.ch(' ');
+  W.str(Help);
+  W.str("\n# TYPE ");
+  name(W, Prefix, Key, Suffix);
+  W.str(IsCounter ? " counter\n" : " gauge\n");
+  name(W, Prefix, Key, Suffix);
   W.ch(' ');
   W.dec(V);
   W.ch('\n');
-}
-
-void counter(profiling::FdWriter &W, const char *Name, const char *Text,
-             std::uint64_t V) {
-  // One-series families: HELP/TYPE immediately followed by the sample.
-  W.str("# HELP ");
-  W.str(Ns);
-  W.str(Name);
-  W.str("_total ");
-  W.str(Text);
-  W.ch('\n');
-  W.str("# TYPE ");
-  W.str(Ns);
-  W.str(Name);
-  W.str("_total counter\n");
-  W.str(Ns);
-  W.str(Name);
-  W.str("_total ");
-  W.dec(V);
-  W.ch('\n');
-}
-
-void gauge(profiling::FdWriter &W, const char *Name, const char *Text,
-           std::uint64_t V) {
-  help(W, Name, Text, "gauge");
-  sample(W, Name, V);
 }
 
 } // namespace
@@ -72,135 +66,18 @@ void lfm::telemetry::promWriteMetrics(profiling::FdWriter &W,
   // Operation counters. Prometheus names must be stable forever, so they
   // reuse the exact counterName() identifiers the JSON schema exports.
   for (unsigned C = 0; C < NumCounters; ++C)
-    counter(W, counterName(static_cast<Counter>(C)),
-            "lfmalloc operation counter.", Snap.Counters[C]);
+    scalarFamily(W, "", counterName(static_cast<Counter>(C)),
+                 "lfmalloc operation counter.", true, Snap.Counters[C]);
 
-  // Space meter (§4.2.5).
-  gauge(W, "space_bytes_in_use", "Bytes currently mapped.",
-        Snap.Space.BytesInUse);
-  gauge(W, "space_peak_bytes", "High-water mark of mapped bytes.",
-        Snap.Space.PeakBytes);
-  counter(W, "space_map_calls", "Successful OS map calls.",
-          Snap.Space.MapCalls);
-  counter(W, "space_unmap_calls", "OS unmap calls.", Snap.Space.UnmapCalls);
-  counter(W, "space_decommit_calls", "Successful decommit calls.",
-          Snap.Space.DecommitCalls);
-  counter(W, "space_bytes_decommitted", "Total bytes ever decommitted.",
-          Snap.Space.BytesDecommitted);
-  counter(W, "space_map_retries", "Map attempts retried after failure.",
-          Snap.Space.MapRetries);
-  counter(W, "space_map_failures", "Map calls failed after all retries.",
-          Snap.Space.MapFailures);
-  gauge(W, "space_bytes_reserved", "Address space reserved but uncommitted.",
-        Snap.Space.BytesReserved);
-  counter(W, "space_reserve_calls", "Successful OS reserve calls.",
-          Snap.Space.ReserveCalls);
-
-  // Subsystem gauges.
-  gauge(W, "cached_superblocks", "Superblocks idle in the cache.",
-        Snap.CachedSuperblocks);
-  gauge(W, "descriptors_minted", "Descriptors ever created.",
-        Snap.DescriptorsMinted);
-  gauge(W, "hazard_retired", "Nodes awaiting hazard reclamation.",
-        Snap.HazardRetired);
-  gauge(W, "hazard_scans", "Hazard-pointer scan passes.", Snap.HazardScans);
-  gauge(W, "hazard_reclaims", "Nodes freed by hazard scans.",
-        Snap.HazardReclaims);
-  gauge(W, "trace_events_emitted", "Trace events ever emitted.",
-        Snap.TraceEventsEmitted);
-  gauge(W, "trace_events_overwritten", "Trace events lost to wraparound.",
-        Snap.TraceEventsOverwritten);
-  gauge(W, "alloctrace_recording", "1 while a flight recording is active.",
-        Snap.AllocTraceRecording ? 1 : 0);
-  counter(W, "alloctrace_ops", "Flight-recorder ops durably encoded.",
-          Snap.AllocTraceOps);
-  counter(W, "alloctrace_dropped",
-          "Flight-recorder ops lost to buffer exhaustion.",
-          Snap.AllocTraceDropped);
-  gauge(W, "retained_bytes", "Bytes idle in the superblock cache.",
-        Snap.RetainedBytes);
-  gauge(W, "decommitted_superblocks", "Cached superblocks decommitted.",
-        Snap.DecommittedSuperblocks);
-  gauge(W, "parked_hyperblocks", "Fully-free hyperblocks parked.",
-        Snap.ParkedHyperblocks);
-  gauge(W, "retain_max_bytes", "Retention watermark in force.",
-        Snap.RetainMaxBytes);
-  gauge(W, "tcache_enabled", "1 while the thread-cache layer is active.",
-        Snap.TcacheEnabled ? 1 : 0);
-  gauge(W, "tcache_caches_minted", "Thread-cache slabs ever mapped.",
-        Snap.TcacheCachesMinted);
-  gauge(W, "tcache_caches_parked", "Thread caches awaiting adoption.",
-        Snap.TcacheCachesParked);
-  gauge(W, "tcache_magazine_blocks", "Blocks resident in magazines.",
-        Snap.TcacheMagazineBlocks);
-  gauge(W, "tcache_depot_blocks", "Blocks resident in class depots.",
-        Snap.TcacheDepotBlocks);
-  gauge(W, "large_backend_buddy",
-        "1 while the buddy large-object backend is selected.",
-        Snap.LargeBackendBuddy ? 1 : 0);
-  gauge(W, "buddy_spans_reserved", "Buddy spans currently reserved.",
-        Snap.BuddySpansReserved);
-  gauge(W, "buddy_span_bytes", "Reserved address space per buddy span.",
-        Snap.BuddySpanBytes);
-  gauge(W, "buddy_bytes_reserved", "Address space held by buddy spans.",
-        Snap.BuddyBytesReserved);
-  gauge(W, "buddy_bytes_committed", "Resident bytes inside buddy spans.",
-        Snap.BuddyBytesCommitted);
-  gauge(W, "buddy_bytes_allocated", "Bytes handed out by the buddy backend.",
-        Snap.BuddyBytesAllocated);
-  gauge(W, "buddy_free_committed_bytes",
-        "Committed bytes idle in the buddy free forest.",
-        Snap.BuddyFreeCommittedBytes);
-
-  // Configuration echo.
-  gauge(W, "heaps", "Processor heaps per size class.", Snap.Heaps);
-  gauge(W, "size_classes", "Size classes in use.", Snap.Classes);
-  gauge(W, "superblock_bytes", "Superblock size.", Snap.SuperblockBytes);
-  gauge(W, "hyperblock_bytes", "Hyperblock size.", Snap.HyperblockBytes);
-  gauge(W, "telemetry_compiled", "1 when built with LFM_TELEMETRY=1.",
-        Snap.TelemetryCompiled ? 1 : 0);
-  gauge(W, "latency_sample_period",
-        "Mean operations between latency samples (0 = off).",
-        Snap.LatencySamplePeriod);
-
-  // Contention-and-progress observability (lfm-metrics-v3). The per-site
-  // histograms are a separate family (promWriteCasRetriesSeries); these
-  // are the scalar health indicators.
-  gauge(W, "contention_sample_period",
-        "Mean retry-loop executions between contention samples (0 = off).",
-        Snap.ContentionSamplePeriod);
-  counter(W, "contention_samples", "Retry-loop executions sampled.",
-          Snap.ContentionSamples);
-  gauge(W, "contention_heat_entries",
-        "Distinct superblocks claimed in the contention heat table.",
-        Snap.ContentionHeatEntries);
-  counter(W, "contention_heat_dropped",
-          "Heat-table attributions dropped to probe-window overflow.",
-          Snap.ContentionHeatDropped);
-  gauge(W, "contention_watchdog_armed",
-        "1 while the progress watchdog rides the stats exporter.",
-        Snap.WatchdogArmed ? 1 : 0);
-  counter(W, "contention_watchdog_scans", "Progress-watchdog passes run.",
-          Snap.WatchdogScans);
-  counter(W, "contention_watchdog_stalls",
-          "Slots flagged as stalled operations (frozen mid-loop).",
-          Snap.WatchdogStalls);
-  counter(W, "contention_watchdog_storms",
-          "Slots flagged as retry storms (retrying without succeeding).",
-          Snap.WatchdogStorms);
-
-  // Shared-memory stats segment (lfm-metrics-v5).
-  gauge(W, "shmstats_active",
-        "1 while an lfm-shmstats-v1 segment is mapped.",
-        Snap.ShmStatsActive ? 1 : 0);
-  counter(W, "shmstats_epoch",
-          "Epoch of the last frame published to the shared segment.",
-          Snap.ShmStatsEpoch);
-  counter(W, "shmstats_publishes",
-          "Frames published to the shared segment.",
-          Snap.ShmStatsPublishes);
-  gauge(W, "shmstats_segment_bytes",
-        "Mapped size of the shared stats segment.", Snap.ShmStatsBytes);
+  // Every registry scalar with a Prometheus kind (bools read as 0/1).
+  std::uint64_t Values[NumScalars];
+  readScalars(Snap, Values);
+  for (unsigned I = 0; I < NumScalars; ++I) {
+    const ScalarInfo &R = ScalarTable[I];
+    if (R.Prom != PromKind::None)
+      scalarFamily(W, metricSectionPromPrefix(R.Section), R.Key, R.Help,
+                   R.Prom == PromKind::Counter, Values[I]);
+  }
 }
 
 void lfm::telemetry::promWriteLatencyHelp(profiling::FdWriter &W) {

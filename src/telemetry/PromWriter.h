@@ -35,8 +35,8 @@
 namespace lfm {
 namespace telemetry {
 
-/// Writes the snapshot's counters, space meter, gauges, and config echo as
-/// Prometheus counter/gauge families.
+/// Writes the snapshot's counters and every registry scalar with a
+/// Prometheus kind (Metrics.def) as single-series counter/gauge families.
 void promWriteMetrics(profiling::FdWriter &W, const MetricsSnapshot &Snap);
 
 /// Writes the `# HELP` / `# TYPE` header of the lf_malloc_latency_ns

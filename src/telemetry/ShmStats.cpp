@@ -14,6 +14,7 @@
 #include "telemetry/MetricsSnapshot.h"
 #include "telemetry/ShmStatsFormat.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -31,6 +32,7 @@ using namespace lfm::telemetry;
 // them is a format version bump, caught here at compile time rather than
 // by a corrupted segment.
 static_assert(NumCounters <= shmstats::MaxCounters);
+static_assert(NumScalars <= shmstats::MaxScalars);
 static_assert(NumLatencyPaths <= shmstats::MaxLatencyPaths);
 static_assert(NumContentionSites <= shmstats::MaxContentionSites);
 static_assert(NumSizeClasses + 1 <= shmstats::MaxClasses);
@@ -92,10 +94,19 @@ void initSegment(shmstats::Segment &S) {
   H.NumClasses = NumSizeClasses + 1;
   H.HeatTopK = ContentionTopK;
   H.Pid = static_cast<std::uint32_t>(::getpid());
+  H.NumScalars = NumScalars;
+  H.Reserved = 0;
   H.StartWallNs = wallNs();
   H.Publishes = 0;
   for (unsigned C = 0; C < NumCounters; ++C)
     putName(S.N.CounterNames[C], counterName(static_cast<Counter>(C)));
+  for (unsigned I = 0; I < NumScalars; ++I) {
+    const ScalarInfo &R = ScalarTable[I];
+    putName(S.N.ScalarSections[I], metricSectionPath(R.Section));
+    putName(S.N.ScalarKeys[I], R.Key);
+    S.N.ScalarTypes[I] = static_cast<std::uint8_t>(R.Type);
+    S.N.ScalarProm[I] = static_cast<std::uint8_t>(R.Prom);
+  }
   for (unsigned P = 0; P < NumLatencyPaths; ++P)
     putName(S.N.LatencyPathNames[P],
             latencyPathName(static_cast<LatencyPath>(P)));
@@ -105,83 +116,16 @@ void initSegment(shmstats::Segment &S) {
 }
 
 /// Flattens a MetricsSnapshot into the wire payload. Plain stores into
-/// the (seqlock-protected) frame; field order mirrors the JSON document.
+/// the (seqlock-protected) frame.
 void fillPayload(shmstats::Payload &P, const MetricsSnapshot &Snap) {
   for (unsigned C = 0; C < NumCounters; ++C)
     P.Counters[C] = Snap.Counters[C];
-  P.SpaceBytesInUse = Snap.Space.BytesInUse;
-  P.SpacePeakBytes = Snap.Space.PeakBytes;
-  P.SpaceMapCalls = Snap.Space.MapCalls;
-  P.SpaceUnmapCalls = Snap.Space.UnmapCalls;
-  P.SpaceDecommitCalls = Snap.Space.DecommitCalls;
-  P.SpaceBytesDecommitted = Snap.Space.BytesDecommitted;
-  P.SpaceMapRetries = Snap.Space.MapRetries;
-  P.SpaceMapFailures = Snap.Space.MapFailures;
-  P.SpaceBytesReserved = Snap.Space.BytesReserved;
-  P.SpaceReserveCalls = Snap.Space.ReserveCalls;
-  P.CachedSuperblocks = Snap.CachedSuperblocks;
-  P.DescriptorsMinted = Snap.DescriptorsMinted;
-  P.HazardRetired = Snap.HazardRetired;
-  P.HazardScans = Snap.HazardScans;
-  P.HazardReclaims = Snap.HazardReclaims;
-  P.RetainedBytes = Snap.RetainedBytes;
-  P.DecommittedSuperblocks = Snap.DecommittedSuperblocks;
-  P.ParkedHyperblocks = Snap.ParkedHyperblocks;
-  P.RetainMaxBytes = Snap.RetainMaxBytes;
-  P.RetainDecayMs = static_cast<std::uint64_t>(Snap.RetainDecayMs);
-  P.TraceEventsEmitted = Snap.TraceEventsEmitted;
-  P.TraceEventsOverwritten = Snap.TraceEventsOverwritten;
-  P.AllocTraceRecording = Snap.AllocTraceRecording ? 1 : 0;
-  P.AllocTraceOps = Snap.AllocTraceOps;
-  P.AllocTraceDropped = Snap.AllocTraceDropped;
-  P.TcacheEnabled = Snap.TcacheEnabled ? 1 : 0;
-  P.TcacheMagSize = Snap.TcacheMagSize;
-  P.TcacheCachesMinted = Snap.TcacheCachesMinted;
-  P.TcacheCachesParked = Snap.TcacheCachesParked;
-  P.TcacheMagazineBlocks = Snap.TcacheMagazineBlocks;
-  P.TcacheDepotBlocks = Snap.TcacheDepotBlocks;
-  P.LargeBackendBuddy = Snap.LargeBackendBuddy ? 1 : 0;
-  P.BuddySpansReserved = Snap.BuddySpansReserved;
-  P.BuddySpanBytes = Snap.BuddySpanBytes;
-  P.BuddyBytesReserved = Snap.BuddyBytesReserved;
-  P.BuddyBytesCommitted = Snap.BuddyBytesCommitted;
-  P.BuddyBytesAllocated = Snap.BuddyBytesAllocated;
-  P.BuddyFreeCommittedBytes = Snap.BuddyFreeCommittedBytes;
-  P.LatencyEnabled = Snap.LatencyEnabled ? 1 : 0;
-  P.LatencySamplePeriod = Snap.LatencySamplePeriod;
-  for (unsigned I = 0; I < NumLatencyPaths; ++I) {
-    const LatencyPathStats &S = Snap.Latency[I];
-    shmstats::PathStats &D = P.Latency[I];
-    D.Count = S.Count;
-    D.SumNs = S.SumNs;
-    D.MaxNs = S.MaxNs;
-    D.P50UpperNs = S.P50UpperNs;
-    D.P99UpperNs = S.P99UpperNs;
-    D.P999UpperNs = S.P999UpperNs;
-  }
-  for (unsigned C = 0; C <= NumSizeClasses; ++C) {
-    const LatencyClassStats &S = Snap.LatencyClasses[C];
-    shmstats::ClassStats &D = P.LatencyClasses[C];
-    D.Count = S.Count;
-    D.SumNs = S.SumNs;
-    D.MaxNs = S.MaxNs;
-  }
-  P.ContentionEnabled = Snap.ContentionEnabled ? 1 : 0;
-  P.ContentionSamplePeriod = Snap.ContentionSamplePeriod;
-  P.ContentionSamples = Snap.ContentionSamples;
-  for (unsigned I = 0; I < NumContentionSites; ++I) {
-    const ContentionSiteStats &S = Snap.Contention[I];
-    shmstats::SiteStats &D = P.Contention[I];
-    D.Count = S.Count;
-    D.RetriesSum = S.RetriesSum;
-    D.RetriesMax = S.RetriesMax;
-    D.RetriesP50 = S.RetriesP50;
-    D.RetriesP99 = S.RetriesP99;
-    D.LoopSumNs = S.LoopSumNs;
-    D.LoopMaxNs = S.LoopMaxNs;
-    D.LoopP50UpperNs = S.LoopP50UpperNs;
-    D.LoopP99UpperNs = S.LoopP99UpperNs;
-  }
+  readScalars(Snap, P.Scalars);
+  std::copy(Snap.Latency, Snap.Latency + NumLatencyPaths, P.Latency);
+  std::copy(Snap.LatencyClasses, Snap.LatencyClasses + NumSizeClasses + 1,
+            P.LatencyClasses);
+  std::copy(Snap.Contention, Snap.Contention + NumContentionSites,
+            P.Contention);
   for (unsigned C = 0; C <= NumSizeClasses; ++C)
     P.ContentionClassRetries[C] = Snap.ContentionClassRetries[C];
   for (unsigned I = 0; I < ContentionTopK; ++I) {
@@ -192,21 +136,6 @@ void fillPayload(shmstats::Payload &P, const MetricsSnapshot &Snap) {
     D.Class = S.Class;
   }
   P.ContentionHeatCount = Snap.ContentionHeatCount;
-  P.ContentionHeatEntries = Snap.ContentionHeatEntries;
-  P.ContentionHeatCapacity = Snap.ContentionHeatCapacity;
-  P.ContentionHeatDropped = Snap.ContentionHeatDropped;
-  P.WatchdogArmed = Snap.WatchdogArmed ? 1 : 0;
-  P.WatchdogScans = Snap.WatchdogScans;
-  P.WatchdogStalls = Snap.WatchdogStalls;
-  P.WatchdogStorms = Snap.WatchdogStorms;
-  P.Heaps = Snap.Heaps;
-  P.Classes = Snap.Classes;
-  P.SuperblockBytes = Snap.SuperblockBytes;
-  P.HyperblockBytes = Snap.HyperblockBytes;
-  P.PartialPolicyFifo = Snap.PartialPolicyFifo ? 1 : 0;
-  P.StatsEnabled = Snap.StatsEnabled ? 1 : 0;
-  P.TraceEnabled = Snap.TraceEnabled ? 1 : 0;
-  P.TelemetryCompiled = Snap.TelemetryCompiled ? 1 : 0;
 }
 
 } // namespace

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The writer side of the lfm-shmstats-v1 segment (ShmStatsFormat.h): a
+/// The writer side of the lfm-shmstats-v2 segment (ShmStatsFormat.h): a
 /// process-wide singleton, like the stats exporter and the SIGUSR2
 /// handler, that maps one segment and publishes MetricsSnapshot frames
 /// into it with plain seqlock'd stores — no locks, no lock-prefixed RMW,

@@ -1,21 +1,22 @@
-//===- telemetry/ShmStatsFormat.h - lfm-shmstats-v1 wire format --*- C++ -*-=//
+//===- telemetry/ShmStatsFormat.h - lfm-shmstats-v2 wire format --*- C++ -*-=//
 //
 // Part of lfmalloc. MIT license; see LICENSE.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The lfm-shmstats-v1 shared-memory stats segment: a fixed, pre-computed
+/// The lfm-shmstats-v2 shared-memory stats segment: a fixed, pre-computed
 /// layout another process can parse with zero cooperation from the target
 /// — no ctl call, no signal, no exporter thread. The writer (ShmStats.cpp)
 /// publishes whole MetricsSnapshot frames with plain seqlock'd stores; the
 /// reader (tools/lfm-top, tests) validates magic/version/layout-checksum
 /// and copies out the most recent stable frame, retrying on torn reads.
 ///
-/// This header is deliberately self-contained (standard headers only, no
-/// allocator or telemetry dependency) so the inspector tool and the GDB
-/// helper consume the format without linking the allocator. Every field is
-/// a fixed-width little-endian integer at a fixed offset; capacities carry
+/// This header is deliberately self-contained (standard headers plus the
+/// dependency-free metric registry for its type codes and record layouts;
+/// no allocator dependency) so the inspector tool and the GDB helper
+/// consume the format without linking the allocator. Every field is a
+/// fixed-width little-endian integer at a fixed offset; capacities carry
 /// headroom over today's live counts so counters can grow without a
 /// version bump, and the header records the *live* counts so readers never
 /// iterate reserved slots.
@@ -23,7 +24,8 @@
 /// Segment geometry:
 ///
 ///   SegmentHeader          magic, version, layout checksum, counts, pid
-///   NameTables             counter/path/site names, written once at open
+///   NameTables             counter/scalar/path/site names, written once
+///                          at open (scalars also carry section and type)
 ///   Frame[2]               seqlock'd epoch frames, double-buffered
 ///
 /// The writer alternates frames and flips Header.ActiveFrame after each
@@ -36,6 +38,8 @@
 
 #ifndef LFMALLOC_TELEMETRY_SHMSTATSFORMAT_H
 #define LFMALLOC_TELEMETRY_SHMSTATSFORMAT_H
+
+#include "telemetry/MetricRegistry.h"
 
 #include <atomic>
 #include <cstddef>
@@ -56,49 +60,20 @@ constexpr std::uint64_t magicValue() {
 }
 
 inline constexpr std::uint64_t Magic = magicValue();
-inline constexpr std::uint32_t Version = 1;
+inline constexpr std::uint32_t Version = 2;
 
-// Slot capacities. Deliberately above the live counts (56 counters, 12
-// latency paths, 17 contention sites, 33 class slots, top-8 heat) so
-// adding a counter is not a layout change; the header's live counts tell
-// readers how many slots carry data.
+// Slot capacities. Deliberately above the live counts (56 counters, 64
+// scalars, 12 latency paths, 17 contention sites, 33 class slots, top-8
+// heat) so adding a counter or scalar is not a layout change; the
+// header's live counts tell readers how many slots carry data.
 inline constexpr std::uint32_t MaxCounters = 72;
+inline constexpr std::uint32_t MaxScalars = 96;
 inline constexpr std::uint32_t MaxLatencyPaths = 16;
 inline constexpr std::uint32_t MaxContentionSites = 24;
 inline constexpr std::uint32_t MaxClasses = 40;
 inline constexpr std::uint32_t MaxHeatTopK = 16;
 inline constexpr std::uint32_t NameCap = 32; ///< Per-name bytes, NUL-padded.
 inline constexpr std::uint32_t FrameCount = 2;
-
-/// Latency summary for one outcome path (quantiles are bucket upper
-/// bounds, exactly as in MetricsSnapshot::LatencyPathStats).
-struct PathStats {
-  std::uint64_t Count;
-  std::uint64_t SumNs;
-  std::uint64_t MaxNs;
-  std::uint64_t P50UpperNs;
-  std::uint64_t P99UpperNs;
-  std::uint64_t P999UpperNs;
-};
-
-struct ClassStats {
-  std::uint64_t Count;
-  std::uint64_t SumNs;
-  std::uint64_t MaxNs;
-};
-
-/// Contention summary for one CAS retry site.
-struct SiteStats {
-  std::uint64_t Count;
-  std::uint64_t RetriesSum;
-  std::uint64_t RetriesMax;
-  std::uint64_t RetriesP50;
-  std::uint64_t RetriesP99;
-  std::uint64_t LoopSumNs;
-  std::uint64_t LoopMaxNs;
-  std::uint64_t LoopP50UpperNs;
-  std::uint64_t LoopP99UpperNs;
-};
 
 struct HeatEntry {
   std::uint64_t Sb;      ///< Superblock address.
@@ -108,84 +83,23 @@ struct HeatEntry {
 
 /// The flattened metrics payload: every field a u64 so torn reads are the
 /// only hazard the seqlock must defeat (no internal padding surprises).
-/// Field order mirrors the lfm-metrics JSON document.
 struct Payload {
   // Operation counters, indexed like telemetry::Counter.
   std::uint64_t Counters[MaxCounters];
 
-  // Space meter (PageStats, in order).
-  std::uint64_t SpaceBytesInUse;
-  std::uint64_t SpacePeakBytes;
-  std::uint64_t SpaceMapCalls;
-  std::uint64_t SpaceUnmapCalls;
-  std::uint64_t SpaceDecommitCalls;
-  std::uint64_t SpaceBytesDecommitted;
-  std::uint64_t SpaceMapRetries;
-  std::uint64_t SpaceMapFailures;
-  std::uint64_t SpaceBytesReserved;
-  std::uint64_t SpaceReserveCalls;
+  // Registry scalars (telemetry/Metrics.def) as u64 wire values, labelled
+  // and typed by NameTables::Scalar*.
+  std::uint64_t Scalars[MaxScalars];
 
-  // Subsystem gauges.
-  std::uint64_t CachedSuperblocks;
-  std::uint64_t DescriptorsMinted;
-  std::uint64_t HazardRetired;
-  std::uint64_t HazardScans;
-  std::uint64_t HazardReclaims;
-  std::uint64_t RetainedBytes;
-  std::uint64_t DecommittedSuperblocks;
-  std::uint64_t ParkedHyperblocks;
-  std::uint64_t RetainMaxBytes;
-  std::uint64_t RetainDecayMs; ///< i64 bit pattern.
-  std::uint64_t TraceEventsEmitted;
-  std::uint64_t TraceEventsOverwritten;
-  std::uint64_t AllocTraceRecording;
-  std::uint64_t AllocTraceOps;
-  std::uint64_t AllocTraceDropped;
-  std::uint64_t TcacheEnabled;
-  std::uint64_t TcacheMagSize;
-  std::uint64_t TcacheCachesMinted;
-  std::uint64_t TcacheCachesParked;
-  std::uint64_t TcacheMagazineBlocks;
-  std::uint64_t TcacheDepotBlocks;
-  std::uint64_t LargeBackendBuddy;
-  std::uint64_t BuddySpansReserved;
-  std::uint64_t BuddySpanBytes;
-  std::uint64_t BuddyBytesReserved;
-  std::uint64_t BuddyBytesCommitted;
-  std::uint64_t BuddyBytesAllocated;
-  std::uint64_t BuddyFreeCommittedBytes;
-
-  // Sampled latency.
-  std::uint64_t LatencyEnabled;
-  std::uint64_t LatencySamplePeriod;
-  PathStats Latency[MaxLatencyPaths];
-  ClassStats LatencyClasses[MaxClasses];
+  // Sampled latency, laid out as in MetricsSnapshot.
+  telemetry::LatencyPathStats Latency[MaxLatencyPaths];
+  telemetry::LatencyClassStats LatencyClasses[MaxClasses];
 
   // Contention and progress.
-  std::uint64_t ContentionEnabled;
-  std::uint64_t ContentionSamplePeriod;
-  std::uint64_t ContentionSamples;
-  SiteStats Contention[MaxContentionSites];
+  telemetry::ContentionSiteStats Contention[MaxContentionSites];
   std::uint64_t ContentionClassRetries[MaxClasses];
   HeatEntry ContentionHeat[MaxHeatTopK];
   std::uint64_t ContentionHeatCount;
-  std::uint64_t ContentionHeatEntries;
-  std::uint64_t ContentionHeatCapacity;
-  std::uint64_t ContentionHeatDropped;
-  std::uint64_t WatchdogArmed;
-  std::uint64_t WatchdogScans;
-  std::uint64_t WatchdogStalls;
-  std::uint64_t WatchdogStorms;
-
-  // Configuration echo.
-  std::uint64_t Heaps;
-  std::uint64_t Classes;
-  std::uint64_t SuperblockBytes;
-  std::uint64_t HyperblockBytes;
-  std::uint64_t PartialPolicyFifo;
-  std::uint64_t StatsEnabled;
-  std::uint64_t TraceEnabled;
-  std::uint64_t TelemetryCompiled;
 };
 
 /// One seqlock'd publication frame. Seq is odd while the writer is inside
@@ -201,10 +115,16 @@ struct Frame {
 };
 
 /// Fixed-size name tables, written once when the segment is created, so a
-/// reader labels every slot without compiled-in knowledge of the
-/// allocator's enum order.
+/// reader labels and types every slot without compiled-in knowledge of
+/// the allocator's enum order or metric registry.
 struct NameTables {
   char CounterNames[MaxCounters][NameCap];
+  /// Per scalar: the JSON section path ("contention.heat") and key, the
+  /// telemetry::ScalarType code, and the telemetry::PromKind code.
+  char ScalarSections[MaxScalars][NameCap];
+  char ScalarKeys[MaxScalars][NameCap];
+  std::uint8_t ScalarTypes[MaxScalars];
+  std::uint8_t ScalarProm[MaxScalars];
   char LatencyPathNames[MaxLatencyPaths][NameCap];
   char ContentionSiteNames[MaxContentionSites][NameCap];
 };
@@ -226,6 +146,8 @@ struct SegmentHeader {
   std::uint32_t NumClasses;
   std::uint32_t HeatTopK;
   std::uint32_t Pid;        ///< Writer pid at open (0 if unknown).
+  std::uint32_t NumScalars;
+  std::uint32_t Reserved;   ///< Zero; keeps the u64s below aligned.
   std::uint64_t StartWallNs; ///< CLOCK_REALTIME when the segment was opened.
   std::uint64_t Publishes;   ///< Total publish() calls, monotone.
 };
@@ -260,6 +182,7 @@ constexpr std::uint32_t layoutChecksum() {
   H = detail::fnv1aWord(H, sizeof(Frame));
   H = detail::fnv1aWord(H, sizeof(Payload));
   H = detail::fnv1aWord(H, MaxCounters);
+  H = detail::fnv1aWord(H, MaxScalars);
   H = detail::fnv1aWord(H, MaxLatencyPaths);
   H = detail::fnv1aWord(H, MaxContentionSites);
   H = detail::fnv1aWord(H, MaxClasses);
@@ -271,7 +194,8 @@ constexpr std::uint32_t layoutChecksum() {
   H = detail::fnv1aWord(H, offsetof(Frame, P));
   H = detail::fnv1aWord(H, offsetof(Payload, Latency));
   H = detail::fnv1aWord(H, offsetof(Payload, Contention));
-  H = detail::fnv1aWord(H, offsetof(Payload, Heaps));
+  H = detail::fnv1aWord(H, offsetof(Payload, Scalars));
+  H = detail::fnv1aWord(H, offsetof(NameTables, ScalarTypes));
   return H;
 }
 
@@ -328,7 +252,8 @@ inline ReadStatus validate(const void *Buf, std::size_t Len) {
   if (H.HeaderBytes != sizeof(SegmentHeader) ||
       H.NamesBytes != sizeof(NameTables) || H.FrameBytes != sizeof(Frame) ||
       H.FrameCountV != FrameCount || H.NameCapV != NameCap ||
-      H.NumCounters > MaxCounters || H.NumLatencyPaths > MaxLatencyPaths ||
+      H.NumCounters > MaxCounters || H.NumScalars > MaxScalars ||
+      H.NumLatencyPaths > MaxLatencyPaths ||
       H.NumContentionSites > MaxContentionSites ||
       H.NumClasses > MaxClasses || H.HeatTopK > MaxHeatTopK)
     return ReadStatus::BadGeometry;

@@ -6,7 +6,6 @@
 
 #include "telemetry/Telemetry.h"
 
-#include "profiling/FdWriter.h"
 #include "support/Timing.h"
 #include "telemetry/JsonWriter.h"
 #include "telemetry/MetricsSnapshot.h"
@@ -306,133 +305,47 @@ void Telemetry::writeTraceJson(std::FILE *Out) const {
   }
 }
 
+void lfm::telemetry::readScalars(const MetricsSnapshot &S,
+                                 std::uint64_t *Out) {
+  unsigned I = 0;
+#define LFM_METRIC(Section, Key, Type, Prom, Ctl, Help, Read)                  \
+  Out[I++] = static_cast<std::uint64_t>(Read);
+#include "telemetry/Metrics.def"
+#undef LFM_METRIC
+}
+
 namespace {
 
-/// JsonWriter's comma/structure discipline over an async-signal-safe
-/// FdWriter, so the exporter and signal paths can emit the same metrics
-/// document without stdio or heap allocation. Strings here are fixed
-/// identifiers from our own tables — no escaping required.
-class FdJsonWriter {
-public:
-  explicit FdJsonWriter(int Fd) : W(Fd) {}
-
-  void beginObject() { open('{'); }
-  void endObject() { close('}'); }
-  void beginArray() { open('['); }
-  void endArray() { close(']'); }
-
-  void key(const char *K) {
-    comma();
-    string(K);
-    W.ch(':');
-    JustWroteKey = true;
-  }
-
-  void value(std::uint64_t V) {
-    comma();
-    W.dec(V);
-  }
-  void value(std::int64_t V) {
-    comma();
-    if (V < 0) {
-      W.ch('-');
-      W.dec(static_cast<std::uint64_t>(-(V + 1)) + 1);
-    } else {
-      W.dec(static_cast<std::uint64_t>(V));
-    }
-  }
-  void value(bool V) {
-    comma();
-    W.str(V ? "true" : "false");
-  }
-  void value(const char *V) {
-    comma();
-    string(V);
-  }
-
-  void field(const char *K, std::uint64_t V) {
-    key(K);
-    value(V);
-  }
-  void field(const char *K, std::int64_t V) {
-    key(K);
-    value(V);
-  }
-  void field(const char *K, bool V) {
-    key(K);
-    value(V);
-  }
-  void field(const char *K, const char *V) {
-    key(K);
-    value(V);
-  }
-
-  void newline() { W.ch('\n'); }
-
-private:
-  void open(char C) {
-    comma();
-    W.ch(C);
-    NeedComma = false;
-  }
-  void close(char C) {
-    W.ch(C);
-    NeedComma = true;
-    JustWroteKey = false;
-  }
-  void comma() {
-    if (JustWroteKey) {
-      JustWroteKey = false;
-      return;
-    }
-    if (NeedComma)
-      W.ch(',');
-    NeedComma = true;
-  }
-  void string(const char *S) {
-    W.ch('"');
-    W.str(S);
-    W.ch('"');
-  }
-
-  profiling::FdWriter W;
-  bool NeedComma = false;
-  bool JustWroteKey = false;
-};
+/// Writes every registry scalar of \p Section as "key":value, in registry
+/// order, into the object \p W currently has open.
+template <class Writer>
+void emitScalars(Writer &W, const std::uint64_t (&Values)[NumScalars],
+                 MetricSection Section) {
+  for (unsigned I = 0; I < NumScalars; ++I)
+    if (ScalarTable[I].Section == Section)
+      W.field(ScalarTable[I].Key, ScalarTable[I].Type, Values[I]);
+}
 
 /// The one definition of the metrics document, emitted through either
-/// writer so the stdio and fd forms can never drift apart.
+/// writer so the stdio and fd forms can never drift apart. Scalars come
+/// from the registry; this function only lays out the sections and the
+/// per-path, per-site and per-class arrays.
 template <class Writer>
 void emitMetricsDoc(Writer &W, const MetricsSnapshot &Snap) {
+  std::uint64_t Values[NumScalars];
+  readScalars(Snap, Values);
+  auto Section = [&](const char *Key, MetricSection S) {
+    W.key(Key);
+    W.beginObject();
+    emitScalars(W, Values, S);
+  };
+
   W.beginObject();
   W.field("schema", "lfm-metrics-v5");
 
-  W.key("config");
-  W.beginObject();
-  W.field("heaps", Snap.Heaps);
-  W.field("size_classes", Snap.Classes);
-  W.field("superblock_bytes", Snap.SuperblockBytes);
-  W.field("hyperblock_bytes", Snap.HyperblockBytes);
-  W.field("partial_policy", Snap.PartialPolicyFifo ? "fifo" : "lifo");
-  W.field("stats_enabled", Snap.StatsEnabled);
-  W.field("tcache_enabled", Snap.TcacheEnabled);
-  W.field("tcache_mag_size", Snap.TcacheMagSize);
-  W.field("trace_enabled", Snap.TraceEnabled);
-  W.field("telemetry_compiled", Snap.TelemetryCompiled);
+  Section("config", MetricSection::Config);
   W.endObject();
-
-  W.key("space");
-  W.beginObject();
-  W.field("bytes_in_use", Snap.Space.BytesInUse);
-  W.field("peak_bytes", Snap.Space.PeakBytes);
-  W.field("map_calls", Snap.Space.MapCalls);
-  W.field("unmap_calls", Snap.Space.UnmapCalls);
-  W.field("decommit_calls", Snap.Space.DecommitCalls);
-  W.field("bytes_decommitted", Snap.Space.BytesDecommitted);
-  W.field("map_retries", Snap.Space.MapRetries);
-  W.field("map_failures", Snap.Space.MapFailures);
-  W.field("bytes_reserved", Snap.Space.BytesReserved);
-  W.field("reserve_calls", Snap.Space.ReserveCalls);
+  Section("space", MetricSection::Space);
   W.endObject();
 
   W.key("counters");
@@ -441,45 +354,13 @@ void emitMetricsDoc(Writer &W, const MetricsSnapshot &Snap) {
     W.field(counterName(static_cast<Counter>(C)), Snap.Counters[C]);
   W.endObject();
 
-  W.key("gauges");
-  W.beginObject();
-  W.field("cached_superblocks", Snap.CachedSuperblocks);
-  W.field("descriptors_minted", Snap.DescriptorsMinted);
-  W.field("hazard_retired", Snap.HazardRetired);
-  W.field("hazard_scans", Snap.HazardScans);
-  W.field("hazard_reclaims", Snap.HazardReclaims);
-  W.field("trace_events_emitted", Snap.TraceEventsEmitted);
-  W.field("trace_events_overwritten", Snap.TraceEventsOverwritten);
-  W.field("alloctrace_recording", Snap.AllocTraceRecording);
-  W.field("alloctrace_ops", Snap.AllocTraceOps);
-  W.field("alloctrace_dropped", Snap.AllocTraceDropped);
-  W.field("retained_bytes", Snap.RetainedBytes);
-  W.field("decommitted_superblocks", Snap.DecommittedSuperblocks);
-  W.field("parked_hyperblocks", Snap.ParkedHyperblocks);
-  W.field("retain_max_bytes", Snap.RetainMaxBytes);
-  W.field("retain_decay_ms", Snap.RetainDecayMs);
-  W.field("tcache_caches_minted", Snap.TcacheCachesMinted);
-  W.field("tcache_caches_parked", Snap.TcacheCachesParked);
-  W.field("tcache_magazine_blocks", Snap.TcacheMagazineBlocks);
-  W.field("tcache_depot_blocks", Snap.TcacheDepotBlocks);
-  W.field("large_backend_buddy", Snap.LargeBackendBuddy);
-  W.field("buddy_spans_reserved", Snap.BuddySpansReserved);
-  W.field("buddy_span_bytes", Snap.BuddySpanBytes);
-  W.field("buddy_bytes_reserved", Snap.BuddyBytesReserved);
-  W.field("buddy_bytes_committed", Snap.BuddyBytesCommitted);
-  W.field("buddy_bytes_allocated", Snap.BuddyBytesAllocated);
-  W.field("buddy_free_committed_bytes", Snap.BuddyFreeCommittedBytes);
+  Section("gauges", MetricSection::Gauges);
   W.endObject();
 
   // The v2 addition. Per-path quantiles are exact bucket upper bounds
   // (see LatencyPathStats); full bucket detail goes through the
   // Prometheus exposition instead of bloating this document.
-  W.key("latency");
-  W.beginObject();
-  W.field("enabled", Snap.LatencyEnabled);
-  W.field("sample_period", Snap.LatencySamplePeriod);
-  W.field("samples", Snap.counter(Counter::LatencySamples));
-  W.field("exporter_allocs", Snap.counter(Counter::ExporterAllocs));
+  Section("latency", MetricSection::Latency);
   W.key("paths");
   W.beginObject();
   for (unsigned P = 0; P < NumLatencyPaths; ++P) {
@@ -515,11 +396,7 @@ void emitMetricsDoc(Writer &W, const MetricsSnapshot &Snap) {
   // superblock heat attribution, and watchdog verdicts. Quantiles are
   // bucket upper bounds like the latency section; retries <= 7 land in
   // the LogBuckets singleton buckets and are exact.
-  W.key("contention");
-  W.beginObject();
-  W.field("enabled", Snap.ContentionEnabled);
-  W.field("sample_period", Snap.ContentionSamplePeriod);
-  W.field("samples", Snap.ContentionSamples);
+  Section("contention", MetricSection::Contention);
   W.key("sites");
   W.beginObject();
   for (unsigned S = 0; S < NumContentionSites; ++S) {
@@ -549,11 +426,7 @@ void emitMetricsDoc(Writer &W, const MetricsSnapshot &Snap) {
     W.endObject();
   }
   W.endArray();
-  W.key("heat");
-  W.beginObject();
-  W.field("entries", Snap.ContentionHeatEntries);
-  W.field("capacity", Snap.ContentionHeatCapacity);
-  W.field("dropped", Snap.ContentionHeatDropped);
+  Section("heat", MetricSection::ContentionHeat);
   W.key("top");
   W.beginArray();
   for (std::uint32_t I = 0; I < Snap.ContentionHeatCount; ++I) {
@@ -566,24 +439,14 @@ void emitMetricsDoc(Writer &W, const MetricsSnapshot &Snap) {
   }
   W.endArray();
   W.endObject();
-  W.key("watchdog");
-  W.beginObject();
-  W.field("armed", Snap.WatchdogArmed);
-  W.field("scans", Snap.WatchdogScans);
-  W.field("stalls", Snap.WatchdogStalls);
-  W.field("storms", Snap.WatchdogStorms);
+  Section("watchdog", MetricSection::ContentionWatchdog);
   W.endObject();
   W.endObject();
 
   // The v5 addition: the shared-memory stats segment's own health, so a
-  // JSON consumer can correlate this document with the lfm-shmstats-v1
-  // frame an out-of-process inspector read (equal epoch = same numbers).
-  W.key("shmstats");
-  W.beginObject();
-  W.field("active", Snap.ShmStatsActive);
-  W.field("epoch", Snap.ShmStatsEpoch);
-  W.field("publishes", Snap.ShmStatsPublishes);
-  W.field("segment_bytes", Snap.ShmStatsBytes);
+  // JSON consumer can correlate this document with the segment frame an
+  // out-of-process inspector read (equal epoch = same numbers).
+  Section("shmstats", MetricSection::ShmStats);
   W.endObject();
 
   W.endObject();
@@ -595,7 +458,7 @@ void lfm::telemetry::writeMetricsJson(const MetricsSnapshot &Snap,
                                       std::FILE *Out) {
   JsonWriter W(Out);
   emitMetricsDoc(W, Snap);
-  std::fputc('\n', Out);
+  W.newline();
 }
 
 void lfm::telemetry::writeMetricsJsonFd(const MetricsSnapshot &Snap, int Fd) {

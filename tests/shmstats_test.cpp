@@ -1,4 +1,4 @@
-//===- tests/shmstats_test.cpp - lfm-shmstats-v1 segment tests ------------===//
+//===- tests/shmstats_test.cpp - lfm-shmstats-v2 segment tests ------------===//
 //
 // Part of lfmalloc. MIT license; see LICENSE.
 //
@@ -163,6 +163,10 @@ TEST(ShmStatsFormat, RejectsMagicVersionChecksumAndGeometryDrift) {
   S.H.NumCounters = shmstats::MaxCounters + 1;
   EXPECT_EQ(shmstats::validate(&S, sizeof(S)),
             shmstats::ReadStatus::BadGeometry);
+  S = makeValidSegment();
+  S.H.NumScalars = shmstats::MaxScalars + 1;
+  EXPECT_EQ(shmstats::validate(&S, sizeof(S)),
+            shmstats::ReadStatus::BadGeometry);
 }
 
 TEST(ShmStatsFormat, TornFramesAreRejectedNotReturned) {
@@ -312,13 +316,34 @@ TEST(ShmStats, LayoutRoundTripMatchesLiveSnapshot) {
         Seg->N.LatencyPathNames[P2],
         telemetry::latencyPathName(static_cast<telemetry::LatencyPath>(P2)));
 
+  // The scalar table labels and types every slot exactly as the registry.
+  ASSERT_EQ(Seg->H.NumScalars, telemetry::NumScalars);
+  for (unsigned I = 0; I < telemetry::NumScalars; ++I) {
+    const telemetry::ScalarInfo &R = telemetry::ScalarTable[I];
+    EXPECT_STREQ(Seg->N.ScalarSections[I],
+                 telemetry::metricSectionPath(R.Section));
+    EXPECT_STREQ(Seg->N.ScalarKeys[I], R.Key);
+    EXPECT_EQ(Seg->N.ScalarTypes[I], static_cast<std::uint8_t>(R.Type));
+    EXPECT_EQ(Seg->N.ScalarProm[I], static_cast<std::uint8_t>(R.Prom));
+  }
+  auto Scalar = [&](const char *Section, const char *Key) {
+    for (unsigned I = 0; I < Seg->H.NumScalars; ++I)
+      if (std::strcmp(Seg->N.ScalarSections[I], Section) == 0 &&
+          std::strcmp(Seg->N.ScalarKeys[I], Key) == 0)
+        return F.P.Scalars[I];
+    ADD_FAILURE() << Section << "." << Key << " missing from the segment";
+    return ~std::uint64_t{0};
+  };
+
   // The frame agrees with a fresh snapshot on quiesced, monotone fields.
   const telemetry::MetricsSnapshot Snap =
       lfm::defaultAllocator().metricsSnapshot();
-  EXPECT_EQ(F.P.Heaps, Snap.Heaps);
-  EXPECT_EQ(F.P.Classes, Snap.Classes);
-  EXPECT_EQ(F.P.SuperblockBytes, Snap.SuperblockBytes);
-  EXPECT_LE(F.P.SpacePeakBytes, Snap.Space.PeakBytes);
+  EXPECT_EQ(Scalar("config", "heaps"), Snap.Heaps);
+  EXPECT_EQ(Scalar("config", "size_classes"), Snap.Classes);
+  EXPECT_EQ(Scalar("config", "superblock_bytes"), Snap.SuperblockBytes);
+  EXPECT_LE(Scalar("space", "peak_bytes"), Snap.Space.PeakBytes);
+  EXPECT_EQ(Scalar("gauges", "retain_decay_ms"),
+            static_cast<std::uint64_t>(Snap.RetainDecayMs));
   EXPECT_LE(F.P.Counters[static_cast<unsigned>(telemetry::Counter::Mallocs)],
             Snap.counter(telemetry::Counter::Mallocs));
   // And the snapshot's own v5 shmstats section sees the segment.

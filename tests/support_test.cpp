@@ -178,9 +178,6 @@ template <typename LockT> void exerciseMutualExclusion() {
 } // namespace
 
 TEST(SpinLock, TasMutualExclusion) { exerciseMutualExclusion<TasLock>(); }
-TEST(SpinLock, TicketMutualExclusion) {
-  exerciseMutualExclusion<TicketLock>();
-}
 
 TEST(SpinLock, TryLockReportsContention) {
   TasLock Lock;

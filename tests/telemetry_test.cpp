@@ -6,7 +6,8 @@
 // concurrency, trace-ring wraparound and seqlock torn-read rejection while
 // a writer is racing, metrics snapshots taken during live allocation, and
 // well-formedness of the exported JSON (checked with a small recursive-
-// descent parser — no JSON library dependency).
+// descent parser — no JSON library dependency), and the scalar metric
+// registry's uniqueness and its docs table.
 //
 // Everything here must pass in both build configurations; assertions that
 // only hold when the extended counters exist are guarded by LFM_TELEMETRY.
@@ -15,6 +16,7 @@
 
 #include "lfmalloc/LFAllocator.h"
 #include "telemetry/Counters.h"
+#include "telemetry/MetricRegistry.h"
 #include "telemetry/TraceRing.h"
 
 #include <gtest/gtest.h>
@@ -262,6 +264,71 @@ TEST(Counters, NamesAreStableAndUnique) {
       EXPECT_TRUE((*P >= 'a' && *P <= 'z') || *P == '_')
           << "metrics keys are snake_case: " << Name;
     EXPECT_TRUE(Seen.insert(Name).second) << "duplicate name " << Name;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Scalar metric registry
+//===----------------------------------------------------------------------===//
+
+/// "lf_malloc_<prefix><key>[_total]" for a row with a Prometheus kind.
+std::string promName(const ScalarInfo &R) {
+  return std::string("lf_malloc_") + metricSectionPromPrefix(R.Section) +
+         R.Key + (R.Prom == PromKind::Counter ? "_total" : "");
+}
+
+TEST(MetricRegistry, NamesAreUniqueOnEverySurface) {
+  std::set<std::string> Paths, Proms, Ctls;
+  for (unsigned C = 0; C < NumCounters; ++C)
+    Proms.insert(std::string("lf_malloc_") +
+                 counterName(static_cast<Counter>(C)) + "_total");
+  for (const ScalarInfo &R : ScalarTable) {
+    ASSERT_NE(R.Key[0], '\0');
+    ASSERT_NE(R.Help[0], '\0');
+    for (const char *P = R.Key; *P; ++P)
+      EXPECT_TRUE((*P >= 'a' && *P <= 'z') || *P == '_' ||
+                  (*P >= '0' && *P <= '9'))
+          << "metrics keys are snake_case: " << R.Key;
+    EXPECT_TRUE(
+        Paths.insert(std::string(metricSectionPath(R.Section)) + "." + R.Key)
+            .second)
+        << "duplicate JSON path " << R.Key;
+    if (R.Prom != PromKind::None) {
+      EXPECT_TRUE(Proms.insert(promName(R)).second)
+          << "duplicate Prometheus name " << promName(R);
+    }
+    if (R.Ctl[0] != '\0') {
+      EXPECT_TRUE(Ctls.insert(R.Ctl).second) << "duplicate ctl key " << R.Ctl;
+    }
+  }
+}
+
+TEST(MetricRegistry, EveryRowIsInTheDocsTable) {
+  // docs/OBSERVABILITY.md "Scalar metrics" lists every registry row as
+  // "| `<json path>` | <type> | <prometheus> | <ctl key> | <help> |".
+  std::FILE *F = std::fopen(LFM_DOCS_DIR "/OBSERVABILITY.md", "r");
+  ASSERT_NE(F, nullptr) << "cannot open " LFM_DOCS_DIR "/OBSERVABILITY.md";
+  std::string Doc;
+  char Buf[4096];
+  std::size_t N;
+  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
+    Doc.append(Buf, N);
+  std::fclose(F);
+  for (const ScalarInfo &R : ScalarTable) {
+    const char *Type = R.Type == ScalarType::Bool     ? "bool"
+                       : R.Type == ScalarType::I64    ? "i64"
+                       : R.Type == ScalarType::Policy ? "string"
+                                                      : "u64";
+    const std::string Row =
+        std::string("| `") + metricSectionPath(R.Section) + "." + R.Key +
+        "` | " + Type + " | " +
+        (R.Prom == PromKind::None ? "—" : "`" + promName(R) + "`") + " | " +
+        (R.Ctl[0] == '\0' ? "—" : std::string("`") + R.Ctl + "`") + " | " +
+        R.Help + " |\n";
+    EXPECT_NE(Doc.find(Row), std::string::npos)
+        << "docs/OBSERVABILITY.md scalar table lacks (or differs from) the "
+           "registry row:\n"
+        << Row;
   }
 }
 

@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 //
 // Attaches to a live (or dead) lfmalloc process through its
-// lfm-shmstats-v1 shared-memory segment and renders the allocator's
+// lfm-shmstats-v2 shared-memory segment and renders the allocator's
 // telemetry without any cooperation from the target: no ctl call, no
 // signal, no exporter thread — the segment is parsed with seqlock'd
 // copies that stay consistent even while the target spins in a retry
 // storm. Deliberately not linked against the allocator; the wire format
-// header is the only shared code.
+// and JSON writer headers are the only shared code. Scalars are rendered
+// from the segment's own name/section/type table, so a new registry row
+// shows up here without a change to this tool.
 //
 //   lfm-top --pid <pid>            attach via /proc/<pid>/fd (memfd segment)
 //   lfm-top --segment <path>       attach to a file-backed segment
@@ -20,6 +22,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "telemetry/JsonWriter.h"
 #include "telemetry/ShmStatsFormat.h"
 
 #include <cerrno>
@@ -55,7 +58,7 @@ struct Options {
       "usage: lfm-top (--pid <pid> | --segment <path> | --core <file>)\n"
       "               [--once] [--json] [--interval <ms>]\n"
       "\n"
-      "Attaches to an lfmalloc process via its lfm-shmstats-v1 segment\n"
+      "Attaches to an lfmalloc process via its lfm-shmstats-v2 segment\n"
       "(LFM_SHM_STATS=1 or =<path> in the target's environment) and shows\n"
       "live op rates, latency quantiles, CAS retry distributions,\n"
       "superblock heat, and watchdog verdicts. --core extracts the final\n"
@@ -190,7 +193,7 @@ Attachment attachCore(const char *Path) {
     }
   }
   if (Best == nullptr)
-    die("no stable lfm-shmstats-v1 segment found in %s (was the target "
+    die("no stable lfm-shmstats-v2 segment found in %s (was the target "
         "running with LFM_SHM_STATS, and did it ever publish?)",
         Path);
   Attachment A;
@@ -223,131 +226,140 @@ const shmstats::Segment *segment(const Attachment &A) {
 }
 
 /// Looks a counter up by its wire name (the tool has no compiled-in enum
-/// knowledge; the segment is self-describing). \returns ~0u when absent.
-unsigned counterIndex(const shmstats::Segment *S, const char *Name) {
-  for (unsigned C = 0; C < S->H.NumCounters; ++C)
-    if (std::strncmp(S->N.CounterNames[C], Name, shmstats::NameCap) == 0)
-      return C;
-  return ~0u;
-}
-
+/// knowledge; the segment is self-describing). 0 when absent.
 std::uint64_t counterOr0(const shmstats::Segment *S, const shmstats::Frame &F,
                          const char *Name) {
-  const unsigned I = counterIndex(S, Name);
-  return I == ~0u ? 0 : F.P.Counters[I];
+  for (unsigned C = 0; C < S->H.NumCounters; ++C)
+    if (std::strncmp(S->N.CounterNames[C], Name, shmstats::NameCap) == 0)
+      return F.P.Counters[C];
+  return 0;
+}
+
+bool sectionIs(const shmstats::Segment *S, unsigned I, const char *Section) {
+  return std::strncmp(S->N.ScalarSections[I], Section, shmstats::NameCap) == 0;
+}
+
+telemetry::ScalarType scalarType(const shmstats::Segment *S, unsigned I) {
+  return static_cast<telemetry::ScalarType>(S->N.ScalarTypes[I]);
 }
 
 // ---------------------------------------------------------------- JSON --
 
-void jsonEscape(const char *S) {
-  for (; *S; ++S) {
-    if (*S == '"' || *S == '\\')
-      std::printf("\\%c", *S);
-    else if (static_cast<unsigned char>(*S) < 0x20)
-      std::printf("\\u%04x", *S);
-    else
-      std::putchar(*S);
-  }
+using Json = telemetry::JsonWriter;
+
+/// Opens object \p Key and writes every scalar of \p Section from the
+/// segment's table into it, typed as the allocator's metrics JSON types
+/// it. The caller closes the object.
+void jsonSection(Json &W, const shmstats::Segment *S, const shmstats::Frame &F,
+                 const char *Key, const char *Section) {
+  W.key(Key);
+  W.beginObject();
+  for (unsigned I = 0; I < S->H.NumScalars; ++I)
+    if (sectionIs(S, I, Section))
+      W.field(S->N.ScalarKeys[I], scalarType(S, I), F.P.Scalars[I]);
 }
 
 void emitJson(const Attachment &A, const shmstats::Frame &F) {
   const shmstats::Segment *S = segment(A);
   const shmstats::Payload &P = F.P;
-  std::printf("{\"schema\":\"lfm-top-v1\",\"source\":\"%s\"",
-              A.Live ? "live" : "static");
-  std::printf(",\"segment\":{\"pid\":%u,\"start_wall_ns\":%" PRIu64
-              ",\"publishes\":%" PRIu64 ",\"bytes\":%zu}",
-              S->H.Pid, S->H.StartWallNs, F.Epoch, shmstats::SegmentBytes);
-  std::printf(",\"frame\":{\"epoch\":%" PRIu64 ",\"wall_ns\":%" PRIu64
-              ",\"mono_ns\":%" PRIu64 "}",
-              F.Epoch, F.WallNs, F.MonoNs);
-  const std::uint64_t Rss = targetRssBytes(A.Pid);
-  std::printf(",\"rss_bytes\":%" PRIu64, Rss);
+  Json W(stdout);
+  W.beginObject();
+  W.field("schema", "lfm-top-v1");
+  W.field("source", A.Live ? "live" : "static");
+  W.key("segment");
+  W.beginObject();
+  W.field("pid", std::uint64_t{S->H.Pid});
+  W.field("start_wall_ns", S->H.StartWallNs);
+  W.field("publishes", F.Epoch);
+  W.field("bytes", std::uint64_t{shmstats::SegmentBytes});
+  W.endObject();
+  W.key("frame");
+  W.beginObject();
+  W.field("epoch", F.Epoch);
+  W.field("wall_ns", F.WallNs);
+  W.field("mono_ns", F.MonoNs);
+  W.endObject();
+  W.field("rss_bytes", targetRssBytes(A.Pid));
 
-  std::printf(",\"counters\":{");
-  for (unsigned C = 0; C < S->H.NumCounters; ++C) {
-    std::printf("%s\"", C ? "," : "");
-    jsonEscape(S->N.CounterNames[C]);
-    std::printf("\":%" PRIu64, P.Counters[C]);
-  }
-  std::printf("}");
+  W.key("counters");
+  W.beginObject();
+  for (unsigned C = 0; C < S->H.NumCounters; ++C)
+    W.field(S->N.CounterNames[C], P.Counters[C]);
+  W.endObject();
 
-  std::printf(",\"space\":{\"bytes_in_use\":%" PRIu64 ",\"peak_bytes\":%" PRIu64
-              ",\"map_calls\":%" PRIu64 ",\"unmap_calls\":%" PRIu64
-              ",\"decommit_calls\":%" PRIu64 ",\"bytes_decommitted\":%" PRIu64
-              ",\"map_retries\":%" PRIu64 ",\"map_failures\":%" PRIu64
-              ",\"bytes_reserved\":%" PRIu64 ",\"reserve_calls\":%" PRIu64 "}",
-              P.SpaceBytesInUse, P.SpacePeakBytes, P.SpaceMapCalls,
-              P.SpaceUnmapCalls, P.SpaceDecommitCalls, P.SpaceBytesDecommitted,
-              P.SpaceMapRetries, P.SpaceMapFailures, P.SpaceBytesReserved,
-              P.SpaceReserveCalls);
+  jsonSection(W, S, F, "space", "space");
+  W.endObject();
 
-  std::printf(",\"gauges\":{\"cached_superblocks\":%" PRIu64
-              ",\"retained_bytes\":%" PRIu64
-              ",\"decommitted_superblocks\":%" PRIu64
-              ",\"parked_hyperblocks\":%" PRIu64 ",\"retain_max_bytes\":%" PRIu64
-              ",\"descriptors_minted\":%" PRIu64 ",\"hazard_retired\":%" PRIu64
-              ",\"tcache_enabled\":%" PRIu64 ",\"tcache_magazine_blocks\":%" PRIu64
-              ",\"tcache_depot_blocks\":%" PRIu64
-              ",\"large_backend_buddy\":%" PRIu64
-              ",\"buddy_bytes_reserved\":%" PRIu64
-              ",\"buddy_bytes_committed\":%" PRIu64
-              ",\"buddy_bytes_allocated\":%" PRIu64 "}",
-              P.CachedSuperblocks, P.RetainedBytes, P.DecommittedSuperblocks,
-              P.ParkedHyperblocks, P.RetainMaxBytes, P.DescriptorsMinted,
-              P.HazardRetired, P.TcacheEnabled, P.TcacheMagazineBlocks,
-              P.TcacheDepotBlocks, P.LargeBackendBuddy, P.BuddyBytesReserved,
-              P.BuddyBytesCommitted, P.BuddyBytesAllocated);
+  // The Prometheus gauge view of the unprefixed families (config echo and
+  // subsystem gauges), numbers only, as lfm-top-v1 has always shown it.
+  W.key("gauges");
+  W.beginObject();
+  constexpr auto Gauge = static_cast<std::uint8_t>(telemetry::PromKind::Gauge);
+  for (unsigned I = 0; I < S->H.NumScalars; ++I)
+    if ((sectionIs(S, I, "config") || sectionIs(S, I, "gauges")) &&
+        S->N.ScalarProm[I] == Gauge)
+      W.field(S->N.ScalarKeys[I], P.Scalars[I]);
+  W.endObject();
 
-  std::printf(",\"latency\":{\"enabled\":%s,\"sample_period\":%" PRIu64
-              ",\"paths\":{",
-              P.LatencyEnabled ? "true" : "false", P.LatencySamplePeriod);
+  jsonSection(W, S, F, "latency", "latency");
+  W.key("paths");
+  W.beginObject();
   for (unsigned I = 0; I < S->H.NumLatencyPaths; ++I) {
-    const shmstats::PathStats &L = P.Latency[I];
-    std::printf("%s\"", I ? "," : "");
-    jsonEscape(S->N.LatencyPathNames[I]);
-    std::printf("\":{\"count\":%" PRIu64 ",\"sum_ns\":%" PRIu64
-                ",\"max_ns\":%" PRIu64 ",\"p50_upper_ns\":%" PRIu64
-                ",\"p99_upper_ns\":%" PRIu64 ",\"p999_upper_ns\":%" PRIu64 "}",
-                L.Count, L.SumNs, L.MaxNs, L.P50UpperNs, L.P99UpperNs,
-                L.P999UpperNs);
+    const telemetry::LatencyPathStats &L = P.Latency[I];
+    W.key(S->N.LatencyPathNames[I]);
+    W.beginObject();
+    W.field("count", L.Count);
+    W.field("sum_ns", L.SumNs);
+    W.field("max_ns", L.MaxNs);
+    W.field("p50_upper_ns", L.P50UpperNs);
+    W.field("p99_upper_ns", L.P99UpperNs);
+    W.field("p999_upper_ns", L.P999UpperNs);
+    W.endObject();
   }
-  std::printf("}}");
+  W.endObject();
+  W.endObject();
 
-  std::printf(",\"contention\":{\"enabled\":%s,\"sample_period\":%" PRIu64
-              ",\"samples\":%" PRIu64 ",\"sites\":{",
-              P.ContentionEnabled ? "true" : "false", P.ContentionSamplePeriod,
-              P.ContentionSamples);
+  jsonSection(W, S, F, "contention", "contention");
+  W.key("sites");
+  W.beginObject();
   for (unsigned I = 0; I < S->H.NumContentionSites; ++I) {
-    const shmstats::SiteStats &C = P.Contention[I];
-    std::printf("%s\"", I ? "," : "");
-    jsonEscape(S->N.ContentionSiteNames[I]);
-    std::printf("\":{\"count\":%" PRIu64 ",\"retries_sum\":%" PRIu64
-                ",\"retries_max\":%" PRIu64 ",\"retries_p50\":%" PRIu64
-                ",\"retries_p99\":%" PRIu64 ",\"loop_p99_upper_ns\":%" PRIu64
-                "}",
-                C.Count, C.RetriesSum, C.RetriesMax, C.RetriesP50, C.RetriesP99,
-                C.LoopP99UpperNs);
+    const telemetry::ContentionSiteStats &C = P.Contention[I];
+    W.key(S->N.ContentionSiteNames[I]);
+    W.beginObject();
+    W.field("count", C.Count);
+    W.field("retries_sum", C.RetriesSum);
+    W.field("retries_max", C.RetriesMax);
+    W.field("retries_p50", C.RetriesP50);
+    W.field("retries_p99", C.RetriesP99);
+    W.field("loop_p99_upper_ns", C.LoopP99UpperNs);
+    W.endObject();
   }
-  std::printf("},\"heat\":[");
+  W.endObject();
+  // lfm-top-v1's "heat" is the top-K list, so the heat-table scalars go
+  // beside it as "heat_table".
+  W.key("heat");
+  W.beginArray();
   for (std::uint64_t I = 0; I < P.ContentionHeatCount; ++I) {
     const shmstats::HeatEntry &H = P.ContentionHeat[I];
-    std::printf("%s{\"sb\":%" PRIu64 ",\"class\":%" PRIu64
-                ",\"retries\":%" PRIu64 "}",
-                I ? "," : "", H.Sb, H.Class, H.Retries);
+    W.beginObject();
+    W.field("sb", H.Sb);
+    W.field("class", H.Class);
+    W.field("retries", H.Retries);
+    W.endObject();
   }
-  std::printf("],\"watchdog\":{\"armed\":%s,\"scans\":%" PRIu64
-              ",\"stalls\":%" PRIu64 ",\"storms\":%" PRIu64 "}}",
-              P.WatchdogArmed ? "true" : "false", P.WatchdogScans,
-              P.WatchdogStalls, P.WatchdogStorms);
+  W.endArray();
+  jsonSection(W, S, F, "heat_table", "contention.heat");
+  W.endObject();
+  jsonSection(W, S, F, "watchdog", "contention.watchdog");
+  W.endObject();
+  W.endObject();
 
-  std::printf(",\"config\":{\"heaps\":%" PRIu64 ",\"size_classes\":%" PRIu64
-              ",\"superblock_bytes\":%" PRIu64 ",\"hyperblock_bytes\":%" PRIu64
-              ",\"stats_enabled\":%s,\"telemetry_compiled\":%s}",
-              P.Heaps, P.Classes, P.SuperblockBytes, P.HyperblockBytes,
-              P.StatsEnabled ? "true" : "false",
-              P.TelemetryCompiled ? "true" : "false");
-  std::printf("}\n");
+  jsonSection(W, S, F, "shmstats", "shmstats");
+  W.endObject();
+  jsonSection(W, S, F, "config", "config");
+  W.endObject();
+  W.endObject();
+  W.newline();
 }
 
 // ---------------------------------------------------------------- text --
@@ -374,6 +386,56 @@ void fmtCount(double V, char *Out, std::size_t Cap) {
     std::snprintf(Out, Cap, "%.0f", V);
 }
 
+/// Formats one scalar for the text view: byte-sized keys in binary units,
+/// bools as yes/no, the policy by name.
+void fmtScalar(const shmstats::Segment *S, unsigned I, std::uint64_t V,
+               char *Out, std::size_t Cap) {
+  switch (scalarType(S, I)) {
+  case telemetry::ScalarType::Bool:
+    std::snprintf(Out, Cap, "%s", V ? "yes" : "no");
+    return;
+  case telemetry::ScalarType::I64:
+    std::snprintf(Out, Cap, "%" PRId64, static_cast<std::int64_t>(V));
+    return;
+  case telemetry::ScalarType::Policy:
+    std::snprintf(Out, Cap, "%s", V ? "fifo" : "lifo");
+    return;
+  case telemetry::ScalarType::U64:
+    break;
+  }
+  if (std::strstr(S->N.ScalarKeys[I], "bytes") != nullptr)
+    fmtBytes(V, Out, Cap);
+  else
+    std::snprintf(Out, Cap, "%" PRIu64, V);
+}
+
+/// One line group per scalar section: "<section> key value ..." for the
+/// section's non-zero scalars, wrapped at roughly 100 columns. Sections
+/// with nothing to show print nothing.
+void textScalars(const shmstats::Segment *S, const shmstats::Frame &F) {
+  int Col = 0; // 0: no line open for the current section.
+  for (unsigned I = 0; I < S->H.NumScalars; ++I) {
+    const char *Section = S->N.ScalarSections[I];
+    if (Col > 0 && !sectionIs(S, I - 1, Section)) {
+      std::printf("\n");
+      Col = 0;
+    }
+    if (F.P.Scalars[I] == 0)
+      continue;
+    char V[32];
+    fmtScalar(S, I, F.P.Scalars[I], V, sizeof(V));
+    const int Need =
+        static_cast<int>(std::strlen(S->N.ScalarKeys[I]) + std::strlen(V)) + 2;
+    if (Col == 0)
+      Col = std::printf("%-19s", Section);
+    else if (Col + Need > 100)
+      Col = std::printf("\n%-19s", "") - 1;
+    Col += std::printf(" %s %s", S->N.ScalarKeys[I], V);
+  }
+  if (Col > 0)
+    std::printf("\n");
+}
+
 /// One human-readable refresh. \p Prev (epoch > 0) enables rate columns.
 void emitText(const Attachment &A, const shmstats::Frame &F,
               const shmstats::Frame &Prev) {
@@ -397,33 +459,28 @@ void emitText(const Attachment &A, const shmstats::Frame &F,
   fmtCount(static_cast<double>(Frees), B2, sizeof(B2));
   std::printf("ops      mallocs %-10s frees %-10s", B1, B2);
   if (HaveRates) {
-    const shmstats::Segment *SP = S;
-    const std::uint64_t PM = counterOr0(SP, Prev, "mallocs");
-    const std::uint64_t PF = counterOr0(SP, Prev, "frees");
+    const std::uint64_t PM = counterOr0(S, Prev, "mallocs");
+    const std::uint64_t PF = counterOr0(S, Prev, "frees");
     fmtCount((static_cast<double>(Mallocs - PM)) / Dt, B3, sizeof(B3));
     fmtCount((static_cast<double>(Frees - PF)) / Dt, B4, sizeof(B4));
     std::printf("  rate %s/s malloc, %s/s free", B3, B4);
   }
   std::printf("\n");
+  if (A.Pid >= 0) {
+    fmtBytes(targetRssBytes(A.Pid), B1, sizeof(B1));
+    std::printf("process  rss %s\n", B1);
+  }
 
-  fmtBytes(P.SpaceBytesInUse, B1, sizeof(B1));
-  fmtBytes(P.SpacePeakBytes, B2, sizeof(B2));
-  fmtBytes(P.SpaceBytesReserved, B3, sizeof(B3));
-  fmtBytes(targetRssBytes(A.Pid), B4, sizeof(B4));
-  std::printf("space    in-use %-8s peak %-8s reserved %-8s rss %s\n", B1, B2,
-              B3, A.Pid >= 0 ? B4 : "-");
+  textScalars(S, F);
 
-  fmtBytes(P.RetainedBytes, B1, sizeof(B1));
-  fmtBytes(P.BuddyBytesCommitted, B2, sizeof(B2));
-  std::printf("retain   cached-sbs %" PRIu64 "  retained %-8s parked %" PRIu64
-              "  buddy-committed %s\n",
-              P.CachedSuperblocks, B1, P.ParkedHyperblocks, B2);
-
-  if (P.LatencyEnabled) {
+  bool AnyPath = false;
+  for (unsigned I = 0; I < S->H.NumLatencyPaths; ++I)
+    AnyPath |= P.Latency[I].Count != 0;
+  if (AnyPath) {
     std::printf("latency  %-22s %10s %9s %9s %9s\n", "path", "count", "p50ns",
                 "p99ns", "p999ns");
     for (unsigned I = 0; I < S->H.NumLatencyPaths; ++I) {
-      const shmstats::PathStats &L = P.Latency[I];
+      const telemetry::LatencyPathStats &L = P.Latency[I];
       if (L.Count == 0)
         continue;
       std::printf("         %-22s %10" PRIu64 " %9" PRIu64 " %9" PRIu64
@@ -433,27 +490,26 @@ void emitText(const Attachment &A, const shmstats::Frame &F,
     }
   }
 
-  if (P.ContentionEnabled) {
+  bool AnySite = false;
+  for (unsigned I = 0; I < S->H.NumContentionSites; ++I)
+    AnySite |= P.Contention[I].Count != 0;
+  if (AnySite) {
     std::printf("cas      %-22s %10s %9s %12s\n", "site", "count", "ret-p99",
                 "loop-p99ns");
     for (unsigned I = 0; I < S->H.NumContentionSites; ++I) {
-      const shmstats::SiteStats &C = P.Contention[I];
+      const telemetry::ContentionSiteStats &C = P.Contention[I];
       if (C.Count == 0)
         continue;
       std::printf("         %-22s %10" PRIu64 " %9" PRIu64 " %12" PRIu64 "\n",
                   S->N.ContentionSiteNames[I], C.Count, C.RetriesP99,
                   C.LoopP99UpperNs);
     }
-    for (std::uint64_t I = 0; I < P.ContentionHeatCount; ++I) {
-      const shmstats::HeatEntry &H = P.ContentionHeat[I];
-      std::printf("heat     sb 0x%-14" PRIx64 " class %-3" PRIu64
-                  " retries %" PRIu64 "\n",
-                  H.Sb, H.Class, H.Retries);
-    }
-    std::printf("watchdog %s  scans %" PRIu64 "  stalls %" PRIu64
-                "  storms %" PRIu64 "\n",
-                P.WatchdogArmed ? "armed" : "unarmed", P.WatchdogScans,
-                P.WatchdogStalls, P.WatchdogStorms);
+  }
+  for (std::uint64_t I = 0; I < P.ContentionHeatCount; ++I) {
+    const shmstats::HeatEntry &H = P.ContentionHeat[I];
+    std::printf("heat     sb 0x%-14" PRIx64 " class %-3" PRIu64
+                " retries %" PRIu64 "\n",
+                H.Sb, H.Class, H.Retries);
   }
 }
 

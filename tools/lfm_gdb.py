@@ -1,4 +1,4 @@
-# lfm_gdb.py - extract the lfm-shmstats-v1 segment from a live or crashed
+# lfm_gdb.py - extract the lfm-shmstats-v2 segment from a live or crashed
 # inferior (part of lfmalloc; MIT license, see LICENSE).
 #
 # Usage:
@@ -77,7 +77,7 @@ def _find_segment():
 
 
 class LfmShmStatsDump(gdb.Command):
-    """Dump the lfm-shmstats-v1 segment to a file for lfm-top --segment."""
+    """Dump the lfm-shmstats-v2 segment to a file for lfm-top --segment."""
 
     def __init__(self):
         super().__init__("lfm-shmstats-dump", gdb.COMMAND_USER)
@@ -93,8 +93,9 @@ class LfmShmStatsDump(gdb.Command):
         with open(out, "wb") as f:
             f.write(data)
         # Surface the final epoch so the user knows the dump is non-empty:
-        # Publishes is the last u64 of the header.
-        publishes = struct.unpack("<Q", data[72:80])[0]
+        # Publishes is the last u64 of the header (HeaderBytes at offset 16).
+        hbytes = struct.unpack("<I", data[16:20])[0]
+        publishes = struct.unpack("<Q", data[hbytes - 8:hbytes])[0]
         gdb.write(
             "lfm-shmstats: wrote %d bytes from 0x%x to %s "
             "(%d publishes)\n" % (size, start, out, publishes)
