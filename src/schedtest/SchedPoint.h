@@ -76,6 +76,8 @@ enum class Site : unsigned {
   // Buddy large-object backend (BuddyBackend.cpp).
   BuddyAlloc,    ///< Status-tree claim CAS + ancestor up-mark window.
   BuddyCoalesce, ///< Trim-walk claim CAS before a free-block decommit.
+  BuddyFull,     ///< Full-span reject: second scan to finalizing CAS.
+  BuddySpanMint, ///< Span directory: reservation to directory CAS.
   NumSites
 };
 

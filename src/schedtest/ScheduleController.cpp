@@ -73,6 +73,10 @@ const char *siteName(Site S) {
     return "BuddyAlloc";
   case Site::BuddyCoalesce:
     return "BuddyCoalesce";
+  case Site::BuddyFull:
+    return "BuddyFull";
+  case Site::BuddySpanMint:
+    return "BuddySpanMint";
   case Site::NumSites:
     break;
   }

@@ -463,4 +463,32 @@ TEST(ShmStats, LfmTopAttachesToLivePreloadedProcess) {
   std::system(("rm -rf " + Dir).c_str());
 }
 
+/// The text view prints the "retain everything" watermark (~0 bytes) as
+/// unbounded, not as a 16-exbibyte size.
+TEST(ShmStats, LfmTopTextShowsUnboundedWatermark) {
+  const char *Top = std::getenv("LFM_TOP_BIN");
+  if (!Top)
+    GTEST_SKIP() << "LFM_TOP_BIN not set";
+  SegmentScope Scope("unbounded");
+  ASSERT_EQ(Scope.Rc, 0);
+  std::uint64_t Retain = 0;
+  size_t Len = sizeof(Retain);
+  ASSERT_EQ(lf_malloc_ctl("stats.retain_max_bytes", &Retain, &Len, nullptr,
+                          0),
+            0);
+  ASSERT_EQ(Retain, ~std::uint64_t{0}) << "default watermark is not ~0";
+  ASSERT_EQ(lf_malloc_ctl("shmstats.publish", nullptr, nullptr, nullptr, 0),
+            0);
+  const std::string Out = Scope.Path + ".txt";
+  ASSERT_EQ(std::system((std::string(Top) + " --segment " + Scope.Path +
+                         " --once > " + Out)
+                            .c_str()),
+            0);
+  const std::string Text = slurp(Out);
+  ::unlink(Out.c_str());
+  EXPECT_NE(Text.find("retain_max_bytes unbounded"), std::string::npos)
+      << Text;
+  EXPECT_EQ(Text.find("16777216.0T"), std::string::npos) << Text;
+}
+
 #endif // LFM_TELEMETRY

@@ -386,8 +386,9 @@ void fmtCount(double V, char *Out, std::size_t Cap) {
     std::snprintf(Out, Cap, "%.0f", V);
 }
 
-/// Formats one scalar for the text view: byte-sized keys in binary units,
-/// bools as yes/no, the policy by name.
+/// Formats one scalar for the text view: byte-sized keys in binary units
+/// (~0, the "no limit" watermark, as unbounded), bools as yes/no, the
+/// policy by name.
 void fmtScalar(const shmstats::Segment *S, unsigned I, std::uint64_t V,
                char *Out, std::size_t Cap) {
   switch (scalarType(S, I)) {
@@ -403,10 +404,12 @@ void fmtScalar(const shmstats::Segment *S, unsigned I, std::uint64_t V,
   case telemetry::ScalarType::U64:
     break;
   }
-  if (std::strstr(S->N.ScalarKeys[I], "bytes") != nullptr)
-    fmtBytes(V, Out, Cap);
-  else
+  if (std::strstr(S->N.ScalarKeys[I], "bytes") == nullptr)
     std::snprintf(Out, Cap, "%" PRIu64, V);
+  else if (V == ~std::uint64_t{0})
+    std::snprintf(Out, Cap, "unbounded");
+  else
+    fmtBytes(V, Out, Cap);
 }
 
 /// One line group per scalar section: "<section> key value ..." for the
